@@ -58,6 +58,7 @@ from .estimators import (
     METHODS,
     Estimator,
     ProjectionOperator,
+    SubspaceLadder,
     build_projection,
     fit_gauss_bayes,
     fit_reduced_dimension,

@@ -15,6 +15,7 @@ output.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .covariance_model import (
-    CovarianceModel,
-    choose_subspace,
-    condition_number,
-    empirical_covariance,
-)
+from .covariance_model import CovarianceModel, condition_number, empirical_covariance
 from .data_pipeline import (
     DataMatrix,
     PriceSeries,
@@ -42,9 +38,8 @@ from .estimators import (
     METHOD_RD,
     METHOD_UNC,
     Estimator,
-    build_projection,
+    SubspaceLadder,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
 )
 from .metrics import DirectionalReport
@@ -223,19 +218,17 @@ class BacktestReport:
 
 def build_l_curve(model: CovarianceModel) -> list[LCurvePoint]:
     """Condition number and closed-form MSE of the reduced-dimension
-    estimator for every subspace size ``L = 1..m``."""
+    estimator for every subspace size ``L = 1..m``, all from one ladder."""
+    ladder = SubspaceLadder(model)
     points = []
     for l_size in range(1, model.m + 1):
-        try:
-            proj = build_projection(model, choose_subspace(model, l_size))
-            est = fit_reduced_dimension(model, proj)
-            points.append(
-                LCurvePoint(
-                    L=l_size, cond_ww=est.cond, mse_rd=metrics.theoretical_mse(model, est)
-                )
-            )
-        except IllConditionedError:
+        if l_size > ladder.rank:
             points.append(LCurvePoint(L=l_size, cond_ww=float("inf"), mse_rd=float("inf")))
+            continue
+        est = ladder.fit(l_size)
+        points.append(
+            LCurvePoint(L=l_size, cond_ww=est.cond, mse_rd=metrics.theoretical_mse(model, est))
+        )
     return points
 
 
@@ -250,9 +243,10 @@ def select_L(
     """Smallest-L minimizer of the objective among sizes obeying the cap.
 
     The scan runs over ``L = 1..m`` in order, so exact objective ties resolve
-    toward the smaller subspace.  Raises :class:`NoFeasibleSubspaceError`
-    (carrying the minimum achievable condition number) when no size
-    satisfies the cap.
+    toward the smaller subspace.  The validation objective scores every size
+    in one pass over :meth:`SubspaceLadder.forecasts`.  Raises
+    :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
+    condition number) when no size satisfies the cap.
     """
     if objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
         raise ValueError(f"unknown objective {objective!r}")
@@ -268,16 +262,18 @@ def select_L(
             f"minimum achievable is {min_cond:g}",
             min_condition_number=min_cond,
         )
+    if objective == OBJECTIVE_THEORETICAL:
+        values = {p.L: p.mse_rd for p in feasible}
+    else:
+        scan = itertools.islice(SubspaceLadder(model).forecasts(val_y), feasible[-1].L)
+        values = {
+            l_size: metrics.empirical_mse(pred, val_z).total
+            for l_size, pred in enumerate(scan, start=1)
+        }
     best = None
     best_value = float("inf")
     for point in feasible:
-        if objective == OBJECTIVE_THEORETICAL:
-            value = point.mse_rd
-        else:
-            est = fit_reduced_dimension(
-                model, build_projection(model, choose_subspace(model, point.L))
-            )
-            value = metrics.empirical_mse(val_y @ est.coeff.T, val_z).total
+        value = values[point.L]
         if value < best_value:
             best, best_value = point, value
     return best.L, SubspaceSelection(
@@ -342,7 +338,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         data = normalize_and_center(build_hankel(series, n, k_avail), config)
         train, test = split_train_test(data, sweep.n_test)
         model = empirical_covariance(train)
-        cond_yy = condition_number(model.sigma_yy)
+        ladder = SubspaceLadder(model)
         curve = build_l_curve(model)
         curves[m_days] = curve
 
@@ -357,9 +353,13 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         unc_result = _evaluate_method(model, fit_unconditional(model), test)
         gb_result, gb_error = None, None
         try:
-            gb_result = _evaluate_method(model, fit_gauss_bayes(model), test)
+            gb = fit_gauss_bayes(model)
         except IllConditionedError as exc:
             gb_error = str(exc)
+            cond_yy = condition_number(model.sigma_yy)
+        else:
+            cond_yy = gb.cond  # the same spectral_condition(sigma_yy)
+            gb_result = _evaluate_method(model, gb, test)
 
         for cap in sweep.condition_caps:
             cell = CellReport(M=m_days, cap=cap, cond_yy=cond_yy, gb_error=gb_error)
@@ -375,9 +375,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
                 if curve[best_l - 1].cond_ww > cap:
                     # validation pick infeasible on the full-train model
                     best_l, _ = select_L(model, cap, curve=curve)
-                rd = fit_reduced_dimension(
-                    model, build_projection(model, choose_subspace(model, best_l))
-                )
+                rd = ladder.fit(best_l)
             except NoFeasibleSubspaceError as exc:
                 cell.skipped = True
                 cell.reason = str(exc)

@@ -29,7 +29,7 @@ from .backtest import (
     run_backtest,
     select_L,
 )
-from .covariance_model import CovarianceModel, choose_subspace, empirical_covariance
+from .covariance_model import CovarianceModel, empirical_covariance
 from .data_pipeline import (
     WindowConfig,
     build_hankel,
@@ -43,9 +43,8 @@ from .estimators import (
     METHOD_RD,
     METHOD_UNC,
     METHODS,
-    build_projection,
+    SubspaceLadder,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     predict,
 )
@@ -182,7 +181,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             best_l = args.l_override
         else:
             best_l, _ = select_L(model, args.cap)
-        est = fit_reduced_dimension(model, build_projection(model, choose_subspace(model, best_l)))
+        est = SubspaceLadder(model).fit(best_l)
 
     tail = series.prices[-m:]
     scale = float(tail[config.Q - 1])
@@ -266,10 +265,8 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
     if corrupt:
         gb = replace(gb, coeff=np.zeros_like(gb.coeff))
     l_grid = sorted({l for l in (1, 5, 10, 20) if l <= m} | {m})
-    rd = {
-        l: fit_reduced_dimension(model, build_projection(model, choose_subspace(model, l)))
-        for l in l_grid
-    }
+    ladder = SubspaceLadder(model)
+    rd = {l: ladder.fit(l) for l in l_grid}
     estimators = {"unc": unc, "gb": gb}
     estimators.update({f"rd[L={l}]": rd[l] for l in l_grid})
 

@@ -4,15 +4,19 @@ Three estimators share one interface: the unconditional mean (coefficients
 zero), the full conditional mean given the observation block, and a
 reduced-dimension conditional mean that first filters the observation onto
 the leading principal subspace.  All operate in the centered ratio domain.
+One :class:`SubspaceLadder` per covariance model yields the reduced-dimension
+estimator of every subspace size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack, solve_triangular
 
-from ._linalg import solve_sym, spectral_condition, symmetrize
+from ._linalg import SINGULARITY_RTOL, solve_sym, spectral_condition, symmetrize
 from .covariance_model import CovarianceModel, Subspace
 from .errors import IllConditionedError
 
@@ -21,6 +25,7 @@ __all__ = [
     "METHOD_GB",
     "METHOD_RD",
     "METHODS",
+    "SubspaceLadder",
     "ProjectionOperator",
     "Estimator",
     "fit_unconditional",
@@ -34,21 +39,6 @@ METHOD_UNC = "unc"
 METHOD_GB = "gb"
 METHOD_RD = "rd"
 METHODS = (METHOD_UNC, METHOD_GB, METHOD_RD)
-
-
-@dataclass(frozen=True)
-class ProjectionOperator:
-    """Least-squares filter ``w = G y`` onto a subspace basis, with the
-    covariances the filtered coordinates induce."""
-
-    G: np.ndarray
-    V_ML: np.ndarray
-    sigma_ww: np.ndarray
-    sigma_zw: np.ndarray
-
-    @property
-    def L(self) -> int:
-        return self.G.shape[0]
 
 
 @dataclass(frozen=True)
@@ -98,43 +88,136 @@ def fit_gauss_bayes(model: CovarianceModel) -> Estimator:
     return Estimator(method=METHOD_GB, coeff=coeff, posterior_cov=posterior, cond=cond_yy)
 
 
-def build_projection(model: CovarianceModel, sub: Subspace) -> ProjectionOperator:
-    """Least-squares coordinates on ``V_ML``: ``G = inv(V_ML' V_ML) V_ML'``.
+class SubspaceLadder:
+    """Reduced-dimension estimators of every subspace size from one factorization.
 
-    Raises IllConditionedError when the basis is rank deficient (the Gram
-    matrix is numerically singular), including any ``L > m`` request.
+    The estimator of size ``L`` depends only on the span of the first ``L``
+    columns of ``V_ML``, the observation rows of the eigenvectors, and the QR
+    and Cholesky factors of nested columns are nested.  With ``V_ML = Q R``,
+    ``S = Q' sigma_yy Q = K K'`` (``K`` lower triangular) and
+    ``W = inv(K) Q' sigma_yz``, every size is a leading block:
+
+    * ``coeff_L = W_L' inv(K_L) Q_L'`` (``R`` cancels),
+    * ``posterior_L = sigma_zz - W_L' W_L``.
+
+    The filtered covariance in the paper's coordinates ``w = G y`` with
+    ``G = inv(R_L) Q_L'`` is ``sigma_ww(L) = X_L X_L'``, ``X_L = inv(R_L) K_L``.
+
+    Sizes past ``rank`` are unusable: the basis loses rank there (judged from
+    ``|R_ii|`` of the basis itself) or ``S`` stops being positive definite
+    (the first bad Cholesky pivot).  Their curve points are ``inf`` and
+    fitting them raises :class:`IllConditionedError`.
     """
-    v_ml = sub.V_ML
-    gram = symmetrize(v_ml.T @ v_ml)
-    gram_cond = spectral_condition(gram)
-    if not np.isfinite(gram_cond):
-        raise IllConditionedError(
-            f"subspace basis with L={sub.L} is rank deficient over the observation rows",
-            condition_number=gram_cond,
+
+    def __init__(self, model: CovarianceModel):
+        self.model = model
+        q, r = np.linalg.qr(model.V[: model.m, : model.m])
+        d = np.abs(np.diag(r))
+        full = d > SINGULARITY_RTOL * np.maximum.accumulate(d)
+        n_basis = d.size if full.all() else int(np.argmin(full))
+        q = q[:, :n_basis]
+        s = symmetrize(q.T @ model.sigma_yy @ q)
+        k, info = lapack.dpotrf(s, lower=1, clean=1)
+        if info > 0:  # leading minor of order ``info`` is not positive definite
+            k, _ = lapack.dpotrf(s[: info - 1, : info - 1], lower=1, clean=1)
+        self.rank = k.shape[0]
+        self.basis_rank = n_basis
+        self._q = q[:, : self.rank]
+        self._r = r[: self.rank, : self.rank]
+        self._k = k
+        self._w = solve_triangular(k, self._q.T @ model.sigma_yz, lower=True)
+
+    def check(self, L: int) -> None:
+        """Raise unless size ``L`` can be fitted."""
+        if not 1 <= L <= self.model.m:
+            raise ValueError(f"L must be in [1, {self.model.m}], got {L}")
+        if L > self.basis_rank:
+            raise IllConditionedError(
+                f"subspace basis with L={L} is rank deficient over the observation rows",
+                condition_number=float("inf"),
+            )
+        if L > self.rank:
+            raise IllConditionedError(
+                f"sigma_yy restricted to the L={L} subspace is not positive definite",
+                condition_number=float("inf"),
+            )
+
+    def cond_ww(self, L: int) -> float:
+        """Condition number of ``sigma_ww(L)``, ``inf`` past ``rank``."""
+        if L > self.rank:
+            return float("inf")
+        x = solve_triangular(self._r[:L, :L], self._k[:L, :L])
+        return spectral_condition(x @ x.T)
+
+    def projector(self, L: int) -> np.ndarray:
+        """Least-squares coordinates ``G = inv(R_L) Q_L'`` on the first ``L`` columns."""
+        self.check(L)
+        return solve_triangular(self._r[:L, :L], self._q[:, :L].T)
+
+    def fit(self, L: int) -> Estimator:
+        """The reduced-dimension estimator of size ``L``."""
+        self.check(L)
+        w = self._w[:L]
+        a = solve_triangular(self._k[:L, :L], w, lower=True, trans="T")
+        return Estimator(
+            method=METHOD_RD,
+            coeff=(self._q[:, :L] @ a).T,
+            posterior_cov=symmetrize(self.model.sigma_zz - w.T @ w),
+            cond=self.cond_ww(L),
+            subspace_dim=L,
         )
-    g = solve_sym(gram, v_ml.T, "subspace Gram matrix")
-    sigma_ww = symmetrize(g @ model.sigma_yy @ g.T)
-    sigma_zw = model.sigma_zy @ g.T
-    return ProjectionOperator(G=g, V_ML=v_ml, sigma_ww=sigma_ww, sigma_zw=sigma_zw)
+
+    def forecasts(self, y: np.ndarray) -> Iterator[np.ndarray]:
+        """Forecasts of the observation rows ``y`` for ``L = 1..rank`` in turn.
+
+        ``y @ coeff_L' = U[:, :L] W_L`` with ``U = y Q inv(K)'``, so each size
+        adds one rank-one term to the previous forecast; nothing is refitted.
+        """
+        u = solve_triangular(self._k, (y @ self._q).T, lower=True).T
+        pred = np.zeros((y.shape[0], self.model.horizon))
+        for i in range(self.rank):
+            pred = pred + np.outer(u[:, i], self._w[i])
+            yield pred
+
+
+@dataclass(frozen=True)
+class ProjectionOperator:
+    """The first ``L`` columns of a ladder's ``V_ML``, as ``build_projection``
+    returns them."""
+
+    ladder: SubspaceLadder
+    L: int
+
+    def __post_init__(self):
+        self.ladder.check(self.L)
+
+    @property
+    def V_ML(self) -> np.ndarray:
+        model = self.ladder.model
+        return model.V[: model.m, : self.L]
+
+    @property
+    def G(self) -> np.ndarray:
+        return self.ladder.projector(self.L)
+
+
+def build_projection(model: CovarianceModel, sub: Subspace) -> ProjectionOperator:
+    """The model's ladder cut at ``sub.L`` (``sub.V_ML`` is ``V_ML[:, :L]``).
+
+    Raises IllConditionedError when the basis is rank deficient, including
+    any ``L > m`` request.
+    """
+    if sub.L > model.m:
+        raise IllConditionedError(
+            f"subspace basis with L={sub.L} exceeds the {model.m} observation rows",
+            condition_number=float("inf"),
+        )
+    return ProjectionOperator(SubspaceLadder(model), sub.L)
 
 
 def fit_reduced_dimension(model: CovarianceModel, proj: ProjectionOperator) -> Estimator:
-    """Conditional mean given the filtered coordinates ``w = G y``.
-
-    The combined coefficient matrix ``sigma_zw @ inv(sigma_ww) @ G`` maps the
-    raw observation directly to the forecast.
-    """
-    cond_ww = spectral_condition(proj.sigma_ww)
-    a = solve_sym(proj.sigma_ww, proj.sigma_zw.T, "sigma_ww").T
-    coeff = a @ proj.G
-    posterior = symmetrize(model.sigma_zz - a @ proj.sigma_zw.T)
-    return Estimator(
-        method=METHOD_RD,
-        coeff=coeff,
-        posterior_cov=posterior,
-        cond=cond_ww,
-        subspace_dim=proj.L,
-    )
+    """Conditional mean given the filtered coordinates ``w = G y``."""
+    return proj.ladder.fit(proj.L)
 
 
 def predict(est: Estimator, y: np.ndarray) -> np.ndarray:

@@ -12,15 +12,21 @@ from subspace_forecast import (
     CovarianceModel,
     NoFeasibleSubspaceError,
     SweepConfig,
+    WindowConfig,
+    build_hankel,
     build_l_curve,
+    condition_number,
     emit_report,
+    empirical_covariance,
     geometric_spectrum,
+    normalize_and_center,
     random_covariance,
     run_backtest,
     select_L,
+    split_train_test,
 )
 
-from conftest import gbm_prices, to_series
+from conftest import gbm_prices, smooth_prices, to_series
 
 
 def dyadic_model(seed=0, dim=24, horizon=8):
@@ -162,6 +168,25 @@ def test_backtest_validation_objective_smoke():
     cell = report.cells[0]
     assert not cell.skipped
     assert cell.cond_ww <= 1e4
+
+
+def test_collapse_holds_on_an_ill_conditioned_smooth_series():
+    # cond(V_ML) is about 1e8 on this series at M=20; a Gram-matrix
+    # projection squares it and declared the full-size basis rank deficient
+    series = to_series(smooth_prices(5000, 1000))
+    report = run_backtest(series, SweepConfig(m_values=(20,), n_test=2200))
+    curve = report.l_curves[20]
+    assert all(np.isfinite(p.mse_rd) for p in curve)
+    for cell in report.cells:
+        assert curve[-1].mse_rd == pytest.approx(cell.results["gb"].theoretical_mse, rel=1e-9)
+
+
+def test_cell_cond_yy_is_the_observation_block_condition_number():
+    series = to_series(gbm_prices(900, 5))
+    report = run_backtest(series, SweepConfig(m_values=(20,), condition_caps=(1e4,), n_test=200))
+    data = normalize_and_center(build_hankel(series, 30, 871), WindowConfig(N=30, M=20))
+    model = empirical_covariance(split_train_test(data, 200)[0])
+    assert report.cells[0].cond_yy == condition_number(model.sigma_yy)
 
 
 def test_backtest_single_test_row_completes():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -140,6 +140,7 @@ def test_reduced_dimension_collapses_to_gauss_bayes_at_full_size():
 
 
 @given(seed=seeds)
+@example(seed=328)  # cond(V_ML) 4.4e4: a Gram-matrix projection put rd 5e-9 below gb at L = 7
 @settings(max_examples=40, deadline=None)
 def test_reduced_dimension_posterior_between_gb_and_unconditional(seed):
     model = random_model(10, 7, seed)

@@ -1,0 +1,215 @@
+"""The per-model subspace ladder against independent per-size constructions.
+
+The ladder factors ``V_ML = Q R`` and ``Q' sigma_yy Q = K K'`` once and reads
+every subspace size off leading blocks.  These tests rebuild each size from
+scratch the way the paper states it (least-squares coordinates ``G``, the
+filtered covariances, the combined coefficients) and compare.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from subspace_forecast import (
+    METHOD_RD,
+    OBJECTIVE_VALIDATION,
+    CovarianceModel,
+    Estimator,
+    IllConditionedError,
+    SubspaceLadder,
+    WindowConfig,
+    build_hankel,
+    build_l_curve,
+    empirical_covariance,
+    empirical_mse,
+    normalize_and_center,
+    select_L,
+    split_train_test,
+    theoretical_mse,
+)
+from subspace_forecast._linalg import solve_sym, spectral_condition, symmetrize
+
+from conftest import smooth_prices, to_series
+from test_estimators import random_model
+
+EPS = np.finfo(float).eps
+
+
+def per_size_rd(model, L):
+    """Reduced-dimension estimator of size ``L`` built on its own.
+
+    Returns its coefficients, closed-form MSE and ``cond(sigma_ww)``.  The
+    coefficients are as accurate as ``cond(sigma_ww)`` allows, so only the
+    MSE and the condition number are compared with the ladder.
+    """
+    v = model.V[: model.m, :L]
+    g = np.linalg.lstsq(v, np.eye(model.m), rcond=None)[0]
+    sigma_ww = g @ model.sigma_yy @ g.T
+    sigma_zw = model.sigma_zy @ g.T
+    coeff = np.linalg.solve(sigma_ww, sigma_zw.T).T @ g
+    est = Estimator(method=METHOD_RD, coeff=coeff, posterior_cov=model.sigma_zz)
+    return coeff, theoretical_mse(model, est), float(np.linalg.cond(sigma_ww))
+
+
+def gram_rd(model, L):
+    """The normal-equations construction the ladder replaced:
+    ``G = inv(V_ML' V_ML) V_ML'``.  Returns the closed-form MSE and
+    ``cond(sigma_ww)``."""
+    v = model.V[: model.m, :L]
+    g = solve_sym(symmetrize(v.T @ v), v.T, "Gram matrix")
+    sigma_ww = symmetrize(g @ model.sigma_yy @ g.T)
+    sigma_zw = model.sigma_zy @ g.T
+    coeff = solve_sym(sigma_ww, sigma_zw.T, "sigma_ww").T @ g
+    est = Estimator(method=METHOD_RD, coeff=coeff, posterior_cov=model.sigma_zz)
+    return theoretical_mse(model, est), spectral_condition(sigma_ww)
+
+
+def rel(a, b):
+    return abs(a - b) / abs(b)
+
+
+def check_against_per_size(model):
+    for point in build_l_curve(model):
+        _, ref_mse, ref_cond = per_size_rd(model, point.L)
+        assert rel(point.mse_rd, ref_mse) <= 1e-12, point.L
+        assert rel(point.cond_ww, ref_cond) <= 1e-8, point.L
+
+
+@pytest.mark.parametrize("seed", [*range(20), 328])
+def test_ladder_matches_per_size_construction(seed):
+    check_against_per_size(random_model(10, 7, seed))
+
+
+def test_ladder_matches_per_size_construction_on_pinned_fixture(pinned_model):
+    check_against_per_size(pinned_model)
+
+
+def test_fit_agrees_with_the_curve(pinned_model):
+    ladder = SubspaceLadder(pinned_model)
+    curve = build_l_curve(pinned_model)
+    for point in curve:
+        est = ladder.fit(point.L)
+        assert est.method == METHOD_RD and est.subspace_dim == point.L
+        assert est.cond == point.cond_ww
+        assert theoretical_mse(pinned_model, est) == point.mse_rd
+        assert np.trace(est.posterior_cov) == pytest.approx(point.mse_rd, rel=1e-12)
+
+
+def refit_scan(model, cap, val_y, val_z):
+    """Validation selection with a separate fit for every feasible size."""
+    best, best_value = None, float("inf")
+    for L in range(1, model.m + 1):
+        coeff, _, cond = per_size_rd(model, L)
+        if cond > cap:
+            continue
+        value = empirical_mse(val_y @ coeff.T, val_z).total
+        if value < best_value:
+            best, best_value = L, value
+    return best, best_value
+
+
+def validation_rows(model, n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, model.dim)) @ np.linalg.cholesky(model.sigma_xx).T
+    return x[:, : model.m], x[:, model.m :]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("cap", [3.0, 10.0, 1e3])
+def test_cumulative_validation_scan_matches_refits(seed, cap):
+    model = random_model(12, 8, seed)
+    # held-out rows drawn from a different model, so the pick is not simply
+    # the largest feasible size
+    val_y, val_z = validation_rows(random_model(12, 8, seed + 100), 60, seed)
+    want_l, want_value = refit_scan(model, cap, val_y, val_z)
+    got_l, sel = select_L(model, cap, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)
+    assert got_l == want_l
+    assert sel.objective_value == pytest.approx(want_value, rel=1e-10)
+
+
+def test_cumulative_validation_scan_keeps_tie_order():
+    # independent days: no size changes the forecast, every size ties
+    # exactly, and both scans settle on the smallest
+    model = CovarianceModel.from_matrix(np.eye(9), m=6)
+    val_y, val_z = validation_rows(model, 40, seed=3)
+    assert refit_scan(model, 1e6, val_y, val_z)[0] == 1
+    assert select_L(model, 1e6, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)[0] == 1
+
+
+def test_indefinite_observation_block_keeps_leading_points():
+    # sigma_xx has rank m - 1 plus a negative eigenvalue of 1e-11 relative,
+    # inside from_matrix's round-off tolerance; sigma_yy is then singular and
+    # slightly indefinite, and Q' sigma_yy Q has no Cholesky factor at L = m
+    rng = np.random.default_rng(0)
+    dim, m = 10, 7
+    a = rng.standard_normal((dim, m - 1))
+    u = np.linalg.svd(a)[0][:, -1]  # a unit vector orthogonal to a's columns
+    cov = a @ a.T
+    cov = symmetrize(cov - 1e-11 * np.abs(cov).max() * np.outer(u, u))
+    model = CovarianceModel.from_matrix(cov, m=m)
+    assert np.linalg.eigvalsh(model.sigma_yy)[0] < 0
+
+    curve = build_l_curve(model)
+    assert all(np.isfinite([p.mse_rd, p.cond_ww]).all() for p in curve[:-1])
+    assert np.isinf(curve[-1].mse_rd) and np.isinf(curve[-1].cond_ww)
+    ladder = SubspaceLadder(model)
+    assert np.all(np.isfinite(ladder.fit(m - 1).coeff))
+    with pytest.raises(IllConditionedError):
+        ladder.fit(m)
+
+
+def test_sizes_outside_the_basis_are_refused():
+    ladder = SubspaceLadder(random_model(8, 5, seed=1))
+    for bad in (0, 6):
+        with pytest.raises(ValueError):
+            ladder.fit(bad)
+
+
+def mp_reference(model, L):
+    """``mse_rd`` and ``cond(sigma_ww)`` of size ``L`` at 50 significant
+    digits, taking the float64 model as exact."""
+    with mpmath.workdps(50):
+        v = mpmath.matrix(model.V[: model.m, :L].tolist())
+        g = mpmath.inverse(v.T * v) * v.T
+        sigma_ww = g * mpmath.matrix(model.sigma_yy.tolist()) * g.T
+        sigma_zw = mpmath.matrix(model.sigma_zy.tolist()) * g.T
+        gain = sigma_zw * mpmath.inverse(sigma_ww) * sigma_zw.T
+        mse = mpmath.fsum(model.sigma_zz[i, i] - gain[i, i] for i in range(model.horizon))
+        eig = sorted(mpmath.eigsy(sigma_ww, eigvals_only=True))
+        return mse, eig[-1] / eig[0]
+
+
+def smooth_model(m_days):
+    """The sweep's full-train model of ``smooth_prices(5000, 1000)``."""
+    series = to_series(smooth_prices(5000, 1000))
+    n = m_days + 10
+    windows = build_hankel(series, n, len(series) - n + 1)
+    data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
+    return empirical_covariance(split_train_test(data, 2200)[0])
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [
+        ("pinned", (1, 5, 10, 20)),
+        # cond(sigma_ww) is 3e3, 8e5 and 7e6 at these sizes; the Gram path's
+        # cond_ww is off by 4e-10 to 6e-10 at the larger two
+        ("smooth M=80", (10, 28, 40)),
+    ],
+)
+def test_ladder_is_at_least_as_accurate_as_the_gram_path(case, sizes, pinned_model):
+    model = pinned_model if case == "pinned" else smooth_model(80)
+    curve = build_l_curve(model)
+    for L in sizes:
+        ref_mse, ref_cond = mp_reference(model, L)
+        gram_mse, gram_cond = gram_rd(model, L)
+        err = lambda value, ref: float(abs((value - ref) / ref))
+        # the curve's mse_rd is the closed form of the fitted coefficients,
+        # stationary in their rounding
+        mse_err, gram_mse_err = err(curve[L - 1].mse_rd, ref_mse), err(gram_mse, ref_mse)
+        assert mse_err <= gram_mse_err, ("mse_rd", L, mse_err, gram_mse_err)
+        # a condition number k is resolved to about k eps; below twice that
+        # both paths are at rounding level and trade units in the last place
+        cond_err, gram_cond_err = err(curve[L - 1].cond_ww, ref_cond), err(gram_cond, ref_cond)
+        floor = 2 * float(ref_cond) * EPS
+        assert cond_err <= max(gram_cond_err, floor), ("cond_ww", L, cond_err, gram_cond_err)
