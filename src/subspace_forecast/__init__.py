@@ -22,11 +22,7 @@ from .backtest import (
     select_L,
 )
 from .covariance_model import (
-    DENOM_COLUMNS,
-    DENOM_SAMPLES,
     CovarianceModel,
-    Subspace,
-    choose_subspace,
     condition_number,
     dump_covariance_csv,
     empirical_covariance,
@@ -57,11 +53,8 @@ from .estimators import (
     METHOD_UNC,
     METHODS,
     Estimator,
-    ProjectionOperator,
     SubspaceLadder,
-    build_projection,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     predict,
 )

@@ -1,8 +1,11 @@
 """Internal linear-algebra helpers.
 
-Every inverse in the toolkit is realized as a solve against a symmetric
-matrix; this module centralizes that so the ill-conditioning policy lives in
-one place.
+No inverse is formed explicitly.  The conditional mean and the squared-bias
+closed form solve against the symmetric blocks ``sigma_yy`` and ``sigma_zz``
+(:func:`solve_sym`); the reduced-dimension ladder uses QR, Cholesky and
+triangular solves (``estimators.SubspaceLadder``).
+This module holds the singularity threshold and condition number they share,
+so the ill-conditioning policy lives in one place.
 """
 
 from __future__ import annotations

@@ -84,7 +84,6 @@ class SweepConfig:
     condition_caps: tuple[float, ...] = (1e3, 1e4)
     n_test: int = 2200
     objective: str = OBJECTIVE_THEORETICAL
-    q_rule: str = "m"
 
     def __post_init__(self):
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
@@ -103,8 +102,6 @@ class SweepConfig:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if self.objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.q_rule != "m":
-            raise ValueError(f"unknown q_rule {self.q_rule!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -113,7 +110,6 @@ class SweepConfig:
             "condition_caps": list(self.condition_caps),
             "n_test": self.n_test,
             "objective": self.objective,
-            "q_rule": self.q_rule,
         }
 
 

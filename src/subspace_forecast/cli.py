@@ -112,8 +112,6 @@ def build_parser() -> _Parser:
                           help="condition-number cap for the subspace search")
     forecast.add_argument("--l", dest="l_override", type=int, default=None,
                           help="pin the subspace size instead of searching under --cap")
-    forecast.add_argument("--q-rule", choices=["m"], default="m",
-                          help="rule placing the scaling day (only 'm' is implemented)")
     forecast.set_defaults(func=cmd_forecast)
 
     def add_grid_flags(p, with_m_list):
@@ -130,7 +128,6 @@ def build_parser() -> _Parser:
                        help="number of most-recent windows held out for scoring")
         p.add_argument("--objective", choices=[OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION],
                        default=OBJECTIVE_THEORETICAL, help="subspace-size selection objective")
-        p.add_argument("--q-rule", choices=["m"], default="m")
         p.add_argument("--out", default=None, help="directory for CSV and JSON artifacts")
 
     backtest = sub.add_parser("backtest", help="score all estimators out-of-sample for one M")
@@ -208,7 +205,6 @@ def _sweep_from_args(args: argparse.Namespace, m_values) -> SweepConfig:
         condition_caps=tuple(args.caps),
         n_test=args.n_test,
         objective=args.objective,
-        q_rule=args.q_rule,
     )
 
 
@@ -229,6 +225,7 @@ def _run_grid(args: argparse.Namespace, m_values) -> int:
             f" cond_yy={cell.cond_yy:.6g} cond_ww={cell.cond_ww:.6g}"
             f" mse[unc]={unc.empirical_mse:.6g} mse[gb]={gb_text}"
             f" mse[rd]={rd.empirical_mse:.6g} dir[rd]={rd.directional.mean_over_days:.4f}"
+            f" dir1[rd]={rd.directional.per_day[0]:.4f}"
         )
     if args.out:
         paths = emit_report(report, args.out)
@@ -246,7 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split: int | None):
-    """Yield (name, value, target, limit_desc, diff, limit) verification rows."""
+    """Return (name, value, target, limit_desc, diff, limit) verification rows."""
     if cov_csv is not None:
         spec = load_gaussian_spec(cov_csv, seed)
         cov = spec.true_cov
@@ -258,12 +255,10 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
         dim, m = 30, 20
         cov = random_covariance(dim, geometric_spectrum(dim, 1e2), seed)
         spec = GaussianSpec(dim=dim, true_cov=cov, seed=seed)
-    h = dim - m
     model = CovarianceModel.from_matrix(cov, m)
     unc = fit_unconditional(model)
-    gb = fit_gauss_bayes(model)
-    if corrupt:
-        gb = replace(gb, coeff=np.zeros_like(gb.coeff))
+    gb_clean = fit_gauss_bayes(model)
+    gb = replace(gb_clean, coeff=np.zeros_like(gb_clean.coeff)) if corrupt else gb_clean
     l_grid = sorted({l for l in (1, 5, 10, 20) if l <= m} | {m})
     ladder = SubspaceLadder(model)
     rd = {l: ladder.fit(l) for l in l_grid}
@@ -313,7 +308,6 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
         check(f"order/rd[L={l}]<=unc", min(float(d.mean()), 0.0), 0.0, "3 se", 3 * se)
 
     # full-subspace reduction must reproduce the conditional-mean estimator
-    gb_clean = fit_gauss_bayes(model)
     coeff_scale = float(np.abs(gb_clean.coeff).max())
     post_scale = float(np.abs(gb_clean.posterior_cov).max())
     diff = max(

@@ -19,20 +19,10 @@ from .errors import DomainError, InsufficientDataError
 
 __all__ = [
     "CovarianceModel",
-    "Subspace",
     "empirical_covariance",
     "condition_number",
-    "choose_subspace",
     "dump_covariance_csv",
-    "DENOM_SAMPLES",
-    "DENOM_COLUMNS",
 ]
-
-# Sample-covariance denominator conventions.  The default divides by the
-# sample count minus one; "columns" divides by the column count instead and
-# exists only to reproduce that alternative reading of the scale factor.
-DENOM_SAMPLES = "samples"
-DENOM_COLUMNS = "columns"
 
 
 @dataclass(frozen=True)
@@ -110,32 +100,13 @@ class CovarianceModel:
         return self.sigma_xx[self.m :, self.m :]
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Leading ``L``-dimensional principal subspace of a covariance model.
-
-    ``V_ML`` is the observation-rows restriction of ``V_L`` (the first ``m``
-    rows), the basis actually used to filter observations.
-    """
-
-    L: int
-    V_L: np.ndarray
-    V_ML: np.ndarray
-    energy_fraction: float
-
-
-def empirical_covariance(train: DataMatrix, denominator: str = DENOM_SAMPLES) -> CovarianceModel:
-    """Sample covariance of centered training rows, split at ``train.split_m``."""
+def empirical_covariance(train: DataMatrix) -> CovarianceModel:
+    """Sample covariance of centered training rows (divided by ``k - 1``),
+    split at ``train.split_m``."""
     k = train.n_samples
     if k < 2:
         raise InsufficientDataError(f"covariance needs at least 2 training rows, got {k}")
-    if denominator == DENOM_SAMPLES:
-        denom = k - 1
-    elif denominator == DENOM_COLUMNS:
-        denom = train.dim
-    else:
-        raise ValueError(f"unknown denominator convention {denominator!r}")
-    sigma = train.X.T @ train.X / denom
+    sigma = train.X.T @ train.X / (k - 1)
     return CovarianceModel.from_matrix(symmetrize(sigma), train.split_m)
 
 
@@ -147,16 +118,6 @@ def condition_number(a: np.ndarray) -> float:
     if a.size == 0:
         raise ValueError("condition number of an empty matrix is undefined")
     return spectral_condition(a)
-
-
-def choose_subspace(model: CovarianceModel, L: int) -> Subspace:
-    """Take the ``L`` leading eigenvectors and report their energy fraction."""
-    if not 1 <= L <= model.dim:
-        raise ValueError(f"L must be in [1, {model.dim}], got {L}")
-    v_l = model.V[:, :L]
-    total = float(model.eigenvalues.sum())
-    energy = float(model.eigenvalues[:L].sum() / total) if total > 0 else 1.0
-    return Subspace(L=L, V_L=v_l, V_ML=v_l[: model.m, :], energy_fraction=energy)
 
 
 def dump_covariance_csv(model: CovarianceModel, path: str) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from ._linalg import SINGULARITY_RTOL, solve_sym, spectral_condition, symmetrize
-from .covariance_model import CovarianceModel, Subspace
+from .covariance_model import CovarianceModel
 from .errors import IllConditionedError
 
 __all__ = [
@@ -26,12 +26,9 @@ __all__ = [
     "METHOD_RD",
     "METHODS",
     "SubspaceLadder",
-    "ProjectionOperator",
     "Estimator",
     "fit_unconditional",
     "fit_gauss_bayes",
-    "build_projection",
-    "fit_reduced_dimension",
     "predict",
 ]
 
@@ -149,11 +146,6 @@ class SubspaceLadder:
         x = solve_triangular(self._r[:L, :L], self._k[:L, :L])
         return spectral_condition(x @ x.T)
 
-    def projector(self, L: int) -> np.ndarray:
-        """Least-squares coordinates ``G = inv(R_L) Q_L'`` on the first ``L`` columns."""
-        self.check(L)
-        return solve_triangular(self._r[:L, :L], self._q[:, :L].T)
-
     def fit(self, L: int) -> Estimator:
         """The reduced-dimension estimator of size ``L``."""
         self.check(L)
@@ -178,46 +170,6 @@ class SubspaceLadder:
         for i in range(self.rank):
             pred = pred + np.outer(u[:, i], self._w[i])
             yield pred
-
-
-@dataclass(frozen=True)
-class ProjectionOperator:
-    """The first ``L`` columns of a ladder's ``V_ML``, as ``build_projection``
-    returns them."""
-
-    ladder: SubspaceLadder
-    L: int
-
-    def __post_init__(self):
-        self.ladder.check(self.L)
-
-    @property
-    def V_ML(self) -> np.ndarray:
-        model = self.ladder.model
-        return model.V[: model.m, : self.L]
-
-    @property
-    def G(self) -> np.ndarray:
-        return self.ladder.projector(self.L)
-
-
-def build_projection(model: CovarianceModel, sub: Subspace) -> ProjectionOperator:
-    """The model's ladder cut at ``sub.L`` (``sub.V_ML`` is ``V_ML[:, :L]``).
-
-    Raises IllConditionedError when the basis is rank deficient, including
-    any ``L > m`` request.
-    """
-    if sub.L > model.m:
-        raise IllConditionedError(
-            f"subspace basis with L={sub.L} exceeds the {model.m} observation rows",
-            condition_number=float("inf"),
-        )
-    return ProjectionOperator(SubspaceLadder(model), sub.L)
-
-
-def fit_reduced_dimension(model: CovarianceModel, proj: ProjectionOperator) -> Estimator:
-    """Conditional mean given the filtered coordinates ``w = G y``."""
-    return proj.ladder.fit(proj.L)
 
 
 def predict(est: Estimator, y: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Shared fixtures: synthetic price paths and a pinned Gaussian test problem."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,11 @@ from subspace_forecast import (
     geometric_spectrum,
     random_covariance,
 )
+
+# The CLI tests start ``python -m subspace_forecast`` in child processes; they
+# import the package from the same source tree as this process.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def gbm_prices(n, seed, mu=2e-4, sigma=0.015, start=100.0):

@@ -30,18 +30,16 @@ from conftest import (
 )
 from subspace_forecast import (
     CovarianceModel,
+    SubspaceLadder,
     SweepConfig,
     WindowConfig,
     bias_decomposition,
     build_hankel,
     build_l_curve,
-    build_projection,
-    choose_subspace,
     condition_number,
     denormalize_forecast,
     directional_statistic,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     geometric_spectrum,
     mc_bias,
@@ -69,10 +67,6 @@ def run_cli(*args):
     )
 
 
-def rd_at(model, L):
-    return fit_reduced_dimension(model, build_projection(model, choose_subspace(model, L)))
-
-
 N_DRAWS = 100_000
 RD_SIZES = (1, 5, 10, 20)
 
@@ -81,7 +75,7 @@ def test_criterion_01_oracle_mse_agreement(pinned_model, pinned_spec):
     t0 = time.monotonic()
     ests = {"unc": fit_unconditional(pinned_model), "gb": fit_gauss_bayes(pinned_model)}
     for L in RD_SIZES:
-        ests[f"rd[L={L}]"] = rd_at(pinned_model, L)
+        ests[f"rd[L={L}]"] = SubspaceLadder(pinned_model).fit(L)
     worst_name, worst = "", 0.0
     for name, est in ests.items():
         mc = mc_mse(pinned_spec, est, FIXTURE_SPLIT, N_DRAWS)
@@ -107,7 +101,7 @@ def test_criterion_02_bias_agreement(pinned_model, pinned_spec):
     rel_unc = abs(mc_unc.value / target_unc - 1.0)
     clauses.append(("unc", rel_unc <= 0.05, f"rel err {rel_unc:.4%} <= 5%"))
 
-    rd = rd_at(pinned_model, 10)
+    rd = SubspaceLadder(pinned_model).fit(10)
     mc_rd = mc_bias(pinned_spec, rd, FIXTURE_SPLIT, N_DRAWS)
     target_rd, _ = bias_decomposition(pinned_model, rd)
     rel_rd = abs(mc_rd.value / target_rd - 1.0)
@@ -130,7 +124,7 @@ def test_criterion_03_optimality_ordering(pinned_model, pinned_spec):
     margins = []
     ok = True
     for L in RD_SIZES:
-        mc_rd = mc_mse(pinned_spec, rd_at(pinned_model, L), FIXTURE_SPLIT, N_DRAWS)
+        mc_rd = mc_mse(pinned_spec, SubspaceLadder(pinned_model).fit(L), FIXTURE_SPLIT, N_DRAWS)
         lo = mc_gb.value - mc_rd.value <= 3.0 * max(mc_gb.se, mc_rd.se)
         hi = mc_rd.value - mc_unc.value <= 3.0 * max(mc_rd.se, mc_unc.se)
         ok = ok and lo and hi
@@ -140,7 +134,7 @@ def test_criterion_03_optimality_ordering(pinned_model, pinned_spec):
 
 def test_criterion_04_rd_gb_collapse(pinned_model, tmp_path):
     gb = fit_gauss_bayes(pinned_model)
-    rd = rd_at(pinned_model, FIXTURE_SPLIT)
+    rd = SubspaceLadder(pinned_model).fit(FIXTURE_SPLIT)
     coeff_rel = float(
         np.max(np.abs(rd.coeff - gb.coeff)) / max(np.max(np.abs(gb.coeff)), 1e-300)
     )

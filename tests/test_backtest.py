@@ -50,8 +50,6 @@ def test_sweep_config_validation():
         SweepConfig(m_values=(20,), n_test=0)
     with pytest.raises(ValueError):
         SweepConfig(m_values=(20,), objective="magic")
-    with pytest.raises(ValueError):
-        SweepConfig(m_values=(20,), q_rule="median")
 
 
 def test_l_curve_runs_over_every_subspace_size():

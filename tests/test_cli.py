@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output shapes, logging, reproducibility."""
 
+import json
 import os
 import shutil
 import subprocess
@@ -132,6 +133,24 @@ def test_sweep_writes_report_directory(price_csv, tmp_path):
     produced = sorted(p.name for p in out.iterdir())
     assert produced == ["best_mse.csv", "condition.csv", "directional.csv",
                         "mse_vs_L.csv", "summary.json", "volatility.csv"]
+
+
+def test_sweep_line_reports_the_day_one_hit_rate(price_csv, tmp_path):
+    out = tmp_path / "report"
+    proc = run_cli("sweep", "--csv", price_csv, "--m-list", "20", "30",
+                   "--caps", "1e3", "1e4", "--n-test", "100", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    printed = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("M=") and "dir1[rd]=" in line:
+            cell, fields = line.split(": ", 1)
+            printed[cell] = float(fields.split("dir1[rd]=")[1].split()[0])
+    summary = json.loads((out / "summary.json").read_text())
+    active = [c for c in summary["cells"] if not c["skipped"]]
+    assert len(active) == 4
+    for c in active:
+        day_one = c["results"]["rd"]["directional_per_day"][0]
+        assert printed[f"M={c['M']} cap={c['cap']:g}"] == round(day_one, 4)
 
 
 def test_sweep_is_deterministic(price_csv, tmp_path):

@@ -5,14 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from subspace_forecast import (
-    DENOM_COLUMNS,
-    DENOM_SAMPLES,
     CovarianceModel,
     DomainError,
     InsufficientDataError,
     WindowConfig,
     build_hankel,
-    choose_subspace,
     condition_number,
     dump_covariance_csv,
     empirical_covariance,
@@ -38,8 +35,8 @@ def test_empirical_covariance_matches_np_cov():
 
 
 def test_empirical_covariance_two_sample_arithmetic():
-    # Two centered rows [1, 0] and [-1, 0]: the K-1 denominator is 1, so the
-    # covariance is the plain sum of outer products.
+    # Two centered rows [1, 0] and [-1, 0]: K - 1 = 1, so the covariance is
+    # the plain sum of outer products.
     template = make_data(n_prices=10, m_days=2, horizon=1)
     data = type(template)(
         X=np.array([[1.0, 0.0], [-1.0, 0.0]]),
@@ -51,16 +48,6 @@ def test_empirical_covariance_two_sample_arithmetic():
     model = empirical_covariance(data)
     assert_allclose(model.sigma_xx, [[2.0, 0.0], [0.0, 0.0]], atol=0)
     assert model.m == 1
-
-
-def test_column_denominator_variant():
-    data = make_data()
-    a = empirical_covariance(data, denominator=DENOM_SAMPLES)
-    b = empirical_covariance(data, denominator=DENOM_COLUMNS)
-    k, d = data.X.shape
-    assert_allclose(b.sigma_xx * d, a.sigma_xx * (k - 1), rtol=1e-12)
-    with pytest.raises(ValueError):
-        empirical_covariance(data, denominator="rows")
 
 
 def test_empirical_covariance_needs_two_rows():
@@ -139,20 +126,6 @@ def test_condition_number_known_values():
     assert condition_number(np.ones((3, 3))) == np.inf  # rank deficient
     with pytest.raises(ValueError):
         condition_number(np.ones((2, 3)))
-
-
-def test_choose_subspace_energy_accounting():
-    model = CovarianceModel.from_matrix(np.diag([4.0, 3.0, 2.0, 1.0]), m=3)
-    fractions = [choose_subspace(model, L).energy_fraction for L in range(1, 5)]
-    assert_allclose(fractions, [0.4, 0.7, 0.9, 1.0])
-    assert fractions == sorted(fractions)
-    sub = choose_subspace(model, 2)
-    assert sub.V_L.shape == (4, 2)
-    assert sub.V_ML.shape == (3, 2)
-    with pytest.raises(ValueError):
-        choose_subspace(model, 0)
-    with pytest.raises(ValueError):
-        choose_subspace(model, 5)
 
 
 def test_covariance_csv_round_trip(tmp_path):

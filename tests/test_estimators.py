@@ -1,4 +1,4 @@
-"""The three linear forecasters and the subspace projection operator."""
+"""The three linear forecasters; rd comes from ``SubspaceLadder(model).fit(L)``."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from subspace_forecast import (
     METHODS,
     CovarianceModel,
     IllConditionedError,
-    build_projection,
-    choose_subspace,
+    SubspaceLadder,
+    build_l_curve,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     predict,
 )
@@ -88,20 +87,6 @@ def test_gauss_bayes_singular_observation_block_raises():
         fit_gauss_bayes(model)
 
 
-@given(seed=seeds, dim=st.integers(5, 14))
-@settings(max_examples=50, deadline=None)
-def test_projection_is_left_inverse(seed, dim):
-    m = dim - 2
-    model = random_model(dim, m, seed)
-    for L in (1, m // 2 or 1, m):
-        proj = build_projection(model, choose_subspace(model, L))
-        assert proj.G.shape == (L, m)
-        assert_allclose(proj.G @ proj.V_ML, np.eye(L), atol=1e-8)
-        # V_ML G is idempotent: projecting twice changes nothing
-        p = proj.V_ML @ proj.G
-        assert_allclose(p @ p, p, atol=1e-8)
-
-
 def test_independent_blocks_make_conditioning_a_no_op():
     # Identity covariance: observing y says nothing about z, so the
     # conditional estimate is the prior and nothing shrinks.
@@ -112,27 +97,23 @@ def test_independent_blocks_make_conditioning_a_no_op():
     assert_allclose(predict(gb, np.array([3.0, -1.0, 2.0])), [0.0, 0.0], atol=0)
 
 
-def test_orthonormal_basis_projector_is_transpose():
-    model = CovarianceModel.from_matrix(np.eye(6), m=4)
-    for L in (1, 2, 4):
-        proj = build_projection(model, choose_subspace(model, L))
-        assert_allclose(proj.G, proj.V_ML.T, atol=1e-12)
-
-
 def test_projection_rank_deficient_basis_raises():
-    # with a rank-one covariance all trailing eigenvectors are arbitrary;
-    # asking for more basis vectors than the observation block can support
-    # must fail loudly rather than return garbage coordinates
-    v = np.ones((6, 1))
-    model = CovarianceModel.from_matrix(v @ v.T, m=2)
+    # The second eigenvector (eigenvalue 3) lies wholly in the future block,
+    # so V_ML has rank one: size 1 fits, size 2 must fail loudly rather than
+    # return garbage coordinates, and its L-curve point is unusable.
+    model = CovarianceModel.from_matrix(np.diag([1.0, 4.0, 3.0, 2.0]), m=2)
+    ladder = SubspaceLadder(model)
+    rd = ladder.fit(1)
+    assert np.all(np.isfinite(rd.coeff)) and np.isfinite(rd.cond)
     with pytest.raises(IllConditionedError):
-        build_projection(model, choose_subspace(model, 5))
+        ladder.fit(2)
+    assert build_l_curve(model)[1].mse_rd == np.inf
 
 
 def test_reduced_dimension_collapses_to_gauss_bayes_at_full_size():
     model = random_model(12, 8, seed=11)
     gb = fit_gauss_bayes(model)
-    rd = fit_reduced_dimension(model, build_projection(model, choose_subspace(model, 8)))
+    rd = SubspaceLadder(model).fit(8)
     assert rd.method == METHOD_RD
     assert rd.subspace_dim == 8
     assert_allclose(rd.coeff, gb.coeff, rtol=1e-6)
@@ -146,9 +127,7 @@ def test_reduced_dimension_posterior_between_gb_and_unconditional(seed):
     model = random_model(10, 7, seed)
     gb = fit_gauss_bayes(model)
     for L in (1, 3, 5, 7):
-        rd = fit_reduced_dimension(
-            model, build_projection(model, choose_subspace(model, L))
-        )
+        rd = SubspaceLadder(model).fit(L)
         t = np.trace(rd.posterior_cov)
         assert np.trace(gb.posterior_cov) <= t + 1e-9
         assert t <= np.trace(model.sigma_zz) + 1e-9

@@ -8,13 +8,11 @@ from numpy.testing import assert_allclose
 
 from subspace_forecast import (
     CovarianceModel,
-    build_projection,
+    SubspaceLadder,
     bias_decomposition,
-    choose_subspace,
     directional_statistic,
     empirical_mse,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     mse_breakdown,
     theoretical_mse,
@@ -51,9 +49,7 @@ def test_mse_equals_posterior_trace_for_all_methods():
     model = random_model(12, 8, seed=3)
     ests = [fit_unconditional(model), fit_gauss_bayes(model)]
     for L in (2, 5, 8):
-        ests.append(
-            fit_reduced_dimension(model, build_projection(model, choose_subspace(model, L)))
-        )
+        ests.append(SubspaceLadder(model).fit(L))
     for est in ests:
         assert theoretical_mse(model, est) == pytest.approx(
             np.trace(est.posterior_cov), rel=1e-9
@@ -81,7 +77,7 @@ def test_bias_decomposition_endpoints():
 @settings(max_examples=40, deadline=None)
 def test_bias_decomposition_reduced_dimension(seed, L):
     model = random_model(9, 6, seed)
-    rd = fit_reduced_dimension(model, build_projection(model, choose_subspace(model, L)))
+    rd = SubspaceLadder(model).fit(L)
     bias, var = bias_decomposition(model, rd)
     assert bias >= -1e-12
     assert var >= -1e-9
@@ -180,5 +176,5 @@ def test_volatility_dominated_by_unconditional():
     v_unc = volatility(fit_unconditional(model))
     assert np.all(volatility(fit_gauss_bayes(model)) <= v_unc + 1e-12)
     for L in (1, 4, 7):
-        rd = fit_reduced_dimension(model, build_projection(model, choose_subspace(model, L)))
+        rd = SubspaceLadder(model).fit(L)
         assert np.all(volatility(rd) <= v_unc + 1e-12)

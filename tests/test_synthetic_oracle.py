@@ -10,12 +10,10 @@ from subspace_forecast import (
     GaussianSpec,
     IllConditionedError,
     ParseError,
+    SubspaceLadder,
     bias_decomposition,
-    build_projection,
-    choose_subspace,
     dump_covariance_csv,
     fit_gauss_bayes,
-    fit_reduced_dimension,
     fit_unconditional,
     geometric_spectrum,
     load_gaussian_spec,
@@ -74,9 +72,7 @@ def test_mc_mse_matches_closed_forms(pinned_spec, pinned_model):
     for est in (
         fit_unconditional(pinned_model),
         fit_gauss_bayes(pinned_model),
-        fit_reduced_dimension(
-            pinned_model, build_projection(pinned_model, choose_subspace(pinned_model, 5))
-        ),
+        SubspaceLadder(pinned_model).fit(5),
     ):
         mc = mc_mse(pinned_spec, est, split, n=40_000)
         closed = theoretical_mse(pinned_model, est)
@@ -97,7 +93,7 @@ def test_mc_mse_tiny_closed_forms():
     unc = fit_unconditional(ident)
     assert mc_mse(ident_spec, unc, 1, n=20_000).value == pytest.approx(3.0, rel=0.05)
     # a full-size subspace reproduces the conditional answer on shared draws
-    rd = fit_reduced_dimension(pair, build_projection(pair, choose_subspace(pair, 1)))
+    rd = SubspaceLadder(pair).fit(1)
     assert mc_mse(pair_spec, rd, 1, n=20_000).value == pytest.approx(
         mc_mse(pair_spec, gb, 1, n=20_000).value, rel=1e-4
     )
@@ -125,9 +121,7 @@ def test_mc_bias_unconditional_is_total_future_variance(pinned_spec, pinned_mode
 
 def test_mc_bias_reduced_dimension_matches_closed_form(pinned_spec, pinned_model):
     for L in (5, 10):
-        rd = fit_reduced_dimension(
-            pinned_model, build_projection(pinned_model, choose_subspace(pinned_model, L))
-        )
+        rd = SubspaceLadder(pinned_model).fit(L)
         mc = mc_bias(pinned_spec, rd, FIXTURE_SPLIT, n=40_000)
         closed, _ = bias_decomposition(pinned_model, rd)
         assert abs(mc.value - closed) <= 0.05 * closed + 3.0 * mc.se
@@ -143,10 +137,7 @@ def test_mc_bias_conditional_mean_equals_full_subspace_form(pinned_spec, pinned_
     conditional mean itself.
     """
     gb = fit_gauss_bayes(pinned_model)
-    rd_full = fit_reduced_dimension(
-        pinned_model,
-        build_projection(pinned_model, choose_subspace(pinned_model, FIXTURE_SPLIT)),
-    )
+    rd_full = SubspaceLadder(pinned_model).fit(FIXTURE_SPLIT)
     closed, _ = bias_decomposition(pinned_model, rd_full)
     mc = mc_bias(pinned_spec, gb, FIXTURE_SPLIT, n=40_000)
     assert closed > 0.1  # the effect is far from negligible on this fixture
