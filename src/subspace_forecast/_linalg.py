@@ -4,8 +4,11 @@ No inverse is formed explicitly.  The conditional mean and the squared-bias
 closed form solve against the symmetric blocks ``sigma_yy`` and ``sigma_zz``
 (:func:`solve_sym`); the reduced-dimension ladder uses QR, Cholesky and
 triangular solves (``estimators.SubspaceLadder``).
-This module holds the singularity threshold and condition number they share,
-so the ill-conditioning policy lives in one place.
+This module holds the singularity threshold they share, so the
+ill-conditioning policy lives in one place.  :func:`spectral_condition`
+serves ``sigma_yy`` (and the matrices of failed solves); the ladder takes
+``cond(sigma_ww)`` as ``cond(Y_L)**2`` from the SVD of a triangular product
+and applies the same threshold on the ``cond(sigma_ww)`` scale.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ column sits at the right edge of the observation block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import date as _date
 
@@ -179,7 +180,7 @@ def load_csv(path: str, ticker: str | None = None) -> PriceSeries:
                 price = float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad price {parts[1].strip()!r}") from exc
-            if not np.isfinite(price) or price <= 0:
+            if not math.isfinite(price) or price <= 0:
                 raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
             rows.append((token, price, lineno))
     if len(rows) < 2:

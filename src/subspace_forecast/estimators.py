@@ -98,7 +98,12 @@ class SubspaceLadder:
     * ``posterior_L = sigma_zz - W_L' W_L``.
 
     The filtered covariance in the paper's coordinates ``w = G y`` with
-    ``G = inv(R_L) Q_L'`` is ``sigma_ww(L) = X_L X_L'``, ``X_L = inv(R_L) K_L``.
+    ``G = inv(R_L) Q_L'`` is ``sigma_ww(L) = X_L X_L'``, ``X_L = inv(R_L) K_L``,
+    so ``inv(sigma_ww(L)) = Y_L' Y_L`` with ``Y_L = inv(K_L) R_L``.  A lower
+    times an upper triangular factor has the product of their leading blocks
+    as its leading block, so ``Y_L`` is the leading block of ``Y = inv(K) R``,
+    formed once, and ``cond_ww(L) = cond(Y_L)**2`` takes one SVD of ``Y_L``:
+    no per-size solve and no product that squares before the SVD.
 
     Sizes past ``rank`` are unusable: the basis loses rank there (judged from
     ``|R_ii|`` of the basis itself) or ``S`` stops being positive definite
@@ -123,6 +128,7 @@ class SubspaceLadder:
         self._r = r[: self.rank, : self.rank]
         self._k = k
         self._w = solve_triangular(k, self._q.T @ model.sigma_yz, lower=True)
+        self._y = solve_triangular(k, self._r, lower=True)
 
     def check(self, L: int) -> None:
         """Raise unless size ``L`` can be fitted."""
@@ -140,17 +146,26 @@ class SubspaceLadder:
             )
 
     def cond_ww(self, L: int) -> float:
-        """Condition number of ``sigma_ww(L)``, ``inf`` past ``rank``."""
+        """Condition number of ``sigma_ww(L)``, ``cond(Y_L)**2``.
+
+        ``inf`` past ``rank`` and where ``sigma_ww(L)`` counts as numerically
+        singular (``cond_ww * SINGULARITY_RTOL >= 1``, the cut-off of
+        ``spectral_condition``).
+        """
         if L > self.rank:
             return float("inf")
-        x = solve_triangular(self._r[:L, :L], self._k[:L, :L])
-        return spectral_condition(x @ x.T)
+        s = np.linalg.svd(self._y[:L, :L], compute_uv=False)
+        ratio = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
+        cond = ratio * ratio  # a float product overflows to inf, ``**`` raises
+        return float("inf") if cond * SINGULARITY_RTOL >= 1 else cond
 
     def fit(self, L: int) -> Estimator:
         """The reduced-dimension estimator of size ``L``."""
         self.check(L)
         w = self._w[:L]
-        a = solve_triangular(self._k[:L, :L], w, lower=True, trans="T")
+        a, info = lapack.dtrtrs(self._k[:L, :L], w, lower=1, trans=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"triangular solve failed, LAPACK info {info}")
         return Estimator(
             method=METHOD_RD,
             coeff=(self._q[:, :L] @ a).T,

@@ -18,7 +18,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 import conftest
 from conftest import (
@@ -36,7 +35,6 @@ from subspace_forecast import (
     bias_decomposition,
     build_hankel,
     build_l_curve,
-    condition_number,
     denormalize_forecast,
     directional_statistic,
     fit_gauss_bayes,

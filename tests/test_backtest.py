@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from subspace_forecast import (
     OBJECTIVE_VALIDATION,
@@ -18,7 +17,6 @@ from subspace_forecast import (
     condition_number,
     emit_report,
     empirical_covariance,
-    geometric_spectrum,
     normalize_and_center,
     random_covariance,
     run_backtest,

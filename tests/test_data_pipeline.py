@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from subspace_forecast import (
-    DataMatrix,
     DomainError,
     InsufficientDataError,
     ParseError,
@@ -74,6 +73,15 @@ def test_load_csv_rejects_nonpositive_price(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("2001-01-02,10.0\n2001-01-03,-4.0\n")
     with pytest.raises(DomainError, match="finite and positive"):
+        load_csv(str(p))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_csv_rejects_nonfinite_price_naming_the_line(tmp_path, token):
+    # float() parses these strings, so only the finiteness check stops them
+    p = tmp_path / "bad.csv"
+    p.write_text(f"date,close\n2001-01-02,10.0\n2001-01-03,{token}\n")
+    with pytest.raises(DomainError, match=r"bad\.csv:3: price must be finite and positive"):
         load_csv(str(p))
 
 

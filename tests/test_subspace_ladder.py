@@ -9,6 +9,7 @@ filtered covariances, the combined coefficients) and compare.
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from subspace_forecast import (
     METHOD_RD,
@@ -213,3 +214,41 @@ def test_ladder_is_at_least_as_accurate_as_the_gram_path(case, sizes, pinned_mod
         cond_err, gram_cond_err = err(curve[L - 1].cond_ww, ref_cond), err(gram_cond, ref_cond)
         floor = 2 * float(ref_cond) * EPS
         assert cond_err <= max(gram_cond_err, floor), ("cond_ww", L, cond_err, gram_cond_err)
+
+
+def product_form_cond_ww(ladder, L):
+    """``cond(sigma_ww(L))`` from the product form: one triangular solve
+    ``X_L = inv(R_L) K_L`` per size and the SVD of ``sigma_ww = X_L X_L'``,
+    which rounds at about ``cond(sigma_ww) eps``."""
+    x = solve_triangular(ladder._r[:L, :L], ladder._k[:L, :L])
+    return spectral_condition(x @ x.T)
+
+
+@pytest.mark.parametrize(
+    "case, sizes",
+    [("pinned", (1, 5, 10, 20)), ("smooth M=80", (10, 28, 40, 50, 60))],
+)
+def test_cond_ww_is_within_the_rounding_of_the_product_form(case, sizes, pinned_model):
+    model = pinned_model if case == "pinned" else smooth_model(80)
+    ladder = SubspaceLadder(model)
+    err = lambda value, ref: float(abs((value - ref) / ref))
+    for L in sizes:
+        ref_cond = mp_reference(model, L)[1]
+        cond_err = err(ladder.cond_ww(L), ref_cond)
+        product_err = err(product_form_cond_ww(ladder, L), ref_cond)
+        # cond(Y_L)**2 rounds at about 2 sqrt(cond) eps, the product form at
+        # about cond eps.  It is not more accurate at every point: at L = 50
+        # on the smooth model its error is 1.3e-13 against the product
+        # form's 2.1e-14, inside its own bound of 2.6e-12.
+        bound = max(product_err, 2 * np.sqrt(float(ref_cond)) * EPS)
+        assert cond_err <= bound, (L, cond_err, product_err)
+
+
+def test_singular_cutoff_stays_on_the_cond_ww_scale():
+    # at L = 19 of the smooth M = 20 model cond(Y_L) is about 8e7, so
+    # cond_ww is about 6.4e15: past 1 / SINGULARITY_RTOL, where the product
+    # form's spectral_condition returned inf.  The size still has a fit.
+    point = build_l_curve(smooth_model(20))[18]
+    assert point.L == 19
+    assert np.isinf(point.cond_ww)
+    assert np.isfinite(point.mse_rd)
