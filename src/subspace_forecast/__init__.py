@@ -61,11 +61,9 @@ from .estimators import (
 from .metrics import (
     DirectionalReport,
     EmpiricalMse,
-    MseBreakdown,
     bias_decomposition,
     directional_statistic,
     empirical_mse,
-    mse_breakdown,
     theoretical_mse,
     volatility,
 )

@@ -212,10 +212,11 @@ class BacktestReport:
         }
 
 
-def build_l_curve(model: CovarianceModel) -> list[LCurvePoint]:
+def build_l_curve(ladder: SubspaceLadder) -> list[LCurvePoint]:
     """Condition number and closed-form MSE of the reduced-dimension
-    estimator for every subspace size ``L = 1..m``, all from one ladder."""
-    ladder = SubspaceLadder(model)
+    estimator for every subspace size ``L = 1..m``, all from the model's
+    ladder."""
+    model = ladder.model
     points = []
     for l_size in range(1, model.m + 1):
         if l_size > ladder.rank:
@@ -229,7 +230,7 @@ def build_l_curve(model: CovarianceModel) -> list[LCurvePoint]:
 
 
 def select_L(
-    model: CovarianceModel,
+    ladder: SubspaceLadder,
     cap: float,
     objective: str = OBJECTIVE_THEORETICAL,
     curve: list[LCurvePoint] | None = None,
@@ -238,9 +239,11 @@ def select_L(
 ) -> tuple[int, SubspaceSelection]:
     """Smallest-L minimizer of the objective among sizes obeying the cap.
 
-    The scan runs over ``L = 1..m`` in order, so exact objective ties resolve
-    toward the smaller subspace.  The validation objective scores every size
-    in one pass over :meth:`SubspaceLadder.forecasts`.  Raises
+    ``ladder`` is the model's :class:`SubspaceLadder`, and ``curve`` defaults
+    to its :func:`build_l_curve`.  The scan runs over ``L = 1..m`` in order,
+    so exact objective ties resolve toward the smaller subspace.  The
+    validation objective scores every size in one pass over
+    :meth:`SubspaceLadder.forecasts`.  Raises
     :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
     condition number) when no size satisfies the cap.
     """
@@ -249,19 +252,19 @@ def select_L(
     if objective == OBJECTIVE_VALIDATION and (val_y is None or val_z is None):
         raise ValueError("validation objective needs val_y and val_z")
     if curve is None:
-        curve = build_l_curve(model)
+        curve = build_l_curve(ladder)
     min_cond = min(p.cond_ww for p in curve)
     feasible = [p for p in curve if p.cond_ww <= cap]
     if not feasible:
         raise NoFeasibleSubspaceError(
-            f"no subspace size in [1, {model.m}] keeps cond(sigma_ww) <= {cap:g}; "
+            f"no subspace size in [1, {ladder.model.m}] keeps cond(sigma_ww) <= {cap:g}; "
             f"minimum achievable is {min_cond:g}",
             min_condition_number=min_cond,
         )
     if objective == OBJECTIVE_THEORETICAL:
         values = {p.L: p.mse_rd for p in feasible}
     else:
-        scan = itertools.islice(SubspaceLadder(model).forecasts(val_y), feasible[-1].L)
+        scan = itertools.islice(ladder.forecasts(val_y), feasible[-1].L)
         values = {
             l_size: metrics.empirical_mse(pred, val_z).total
             for l_size, pred in enumerate(scan, start=1)
@@ -335,15 +338,15 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         train, test = split_train_test(data, sweep.n_test)
         model = empirical_covariance(train)
         ladder = SubspaceLadder(model)
-        curve = build_l_curve(model)
+        curve = build_l_curve(ladder)
         curves[m_days] = curve
 
-        sel_model, sel_curve, val_y, val_z = model, curve, None, None
+        sel_ladder, sel_curve, val_y, val_z = ladder, curve, None, None
         if sweep.objective == OBJECTIVE_VALIDATION:
             n_val = max(1, train.n_samples // 5)
             sub_train, val = split_train_test(train, n_val)
-            sel_model = empirical_covariance(sub_train)
-            sel_curve = build_l_curve(sel_model)
+            sel_ladder = SubspaceLadder(empirical_covariance(sub_train))
+            sel_curve = build_l_curve(sel_ladder)
             val_y, val_z = val.y_block, val.z_block
 
         unc_result = _evaluate_method(model, fit_unconditional(model), test)
@@ -361,7 +364,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
             cell = CellReport(M=m_days, cap=cap, cond_yy=cond_yy, gb_error=gb_error)
             try:
                 best_l, _ = select_L(
-                    sel_model,
+                    sel_ladder,
                     cap,
                     sweep.objective,
                     curve=sel_curve,
@@ -370,7 +373,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
                 )
                 if curve[best_l - 1].cond_ww > cap:
                     # validation pick infeasible on the full-train model
-                    best_l, _ = select_L(model, cap, curve=curve)
+                    best_l, _ = select_L(ladder, cap, curve=curve)
                 rd = ladder.fit(best_l)
             except NoFeasibleSubspaceError as exc:
                 cell.skipped = True

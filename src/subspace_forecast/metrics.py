@@ -11,28 +11,14 @@ from .covariance_model import CovarianceModel
 from .estimators import METHOD_GB, METHOD_RD, METHOD_UNC, Estimator
 
 __all__ = [
-    "MseBreakdown",
     "EmpiricalMse",
     "DirectionalReport",
     "theoretical_mse",
     "bias_decomposition",
-    "mse_breakdown",
     "empirical_mse",
     "directional_statistic",
     "volatility",
 ]
-
-
-@dataclass(frozen=True)
-class MseBreakdown:
-    """Total-error accounting for one method: closed-form MSE, its squared-bias
-    and variance split, and optionally a measured out-of-sample MSE."""
-
-    method: str
-    theoretical_mse: float
-    bias_sq: float
-    variance: float
-    empirical_mse: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,20 +91,6 @@ def bias_decomposition(model: CovarianceModel, est: Estimator) -> tuple[float, f
     icr = np.eye(model.horizon) - est.coeff @ r
     bias_sq = float(np.einsum("ij,ij->", icr @ model.sigma_zz, icr))
     return bias_sq, total - bias_sq
-
-
-def mse_breakdown(
-    model: CovarianceModel, est: Estimator, empirical: float | None = None
-) -> MseBreakdown:
-    """Assemble the full closed-form accounting for one estimator."""
-    bias_sq, variance = bias_decomposition(model, est)
-    return MseBreakdown(
-        method=est.method,
-        theoretical_mse=theoretical_mse(model, est),
-        bias_sq=bias_sq,
-        variance=variance,
-        empirical_mse=empirical,
-    )
 
 
 def empirical_mse(predictions: np.ndarray, actuals: np.ndarray) -> EmpiricalMse:

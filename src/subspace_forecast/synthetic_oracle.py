@@ -4,7 +4,9 @@ Estimators fitted from a known covariance can be scored against brute-force
 sampling: :func:`mc_mse` replays the forecast on fresh draws, and
 :func:`mc_bias` estimates the conditional bias by stratifying on the future
 block and replicating observations from the reverse conditional law.  Both
-return the estimate together with its sampling standard error.
+take a sequence of estimators, draw once and score every estimator on the
+same draws, and return one estimate with its sampling standard error per
+estimator, in order.
 
 Fixture covariances come from :func:`random_covariance`, which pins an exact
 eigenvalue spectrum on a random orthogonal basis so conditioning is
@@ -14,6 +16,7 @@ controllable.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,40 +97,46 @@ def sample(spec: GaussianSpec, n: int) -> np.ndarray:
     return spec.true_mean + rng.standard_normal((n, spec.dim)) @ factor
 
 
-def _split_blocks(spec: GaussianSpec, est: Estimator, split: int):
+def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> None:
+    """Raise ``ValueError`` unless every estimator fits the spec split at ``split``."""
+    if not ests:
+        raise ValueError("need at least one estimator")
     h = spec.dim - split
-    if split != est.m or h != est.horizon:
-        raise ValueError(
-            f"estimator shape ({est.horizon}, {est.m}) does not match spec dim "
-            f"{spec.dim} split at {split}"
-        )
-    cov = spec.true_cov
-    return (
-        cov[:split, :split],
-        cov[:split, split:],
-        cov[split:, :split],
-        cov[split:, split:],
-        spec.true_mean[:split],
-        spec.true_mean[split:],
-    )
+    for est in ests:
+        if split != est.m or h != est.horizon:
+            raise ValueError(
+                f"estimator shape ({est.horizon}, {est.m}) does not match spec dim "
+                f"{spec.dim} split at {split}"
+            )
 
 
-def mc_mse(spec: GaussianSpec, est: Estimator, split: int, n: int) -> McEstimate:
-    """Empirical mean squared error of the estimator over ``n`` fresh draws."""
-    _, _, _, _, mean_y, mean_z = _split_blocks(spec, est, split)
+def mc_mse(
+    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
+) -> list[McEstimate]:
+    """Empirical mean squared error of each estimator over ``n`` fresh draws.
+
+    One :func:`sample` serves every estimator (common random numbers), so the
+    estimates of a list equal those of one-element calls bit for bit, and
+    differences between estimators carry no independent sampling noise.
+    """
+    _check_shapes(spec, ests, split)
     x = sample(spec, n)
-    y_c = x[:, :split] - mean_y
-    z_c = x[:, split:] - mean_z
-    err = z_c - y_c @ est.coeff.T
-    sq = np.einsum("ij,ij->i", err, err)
-    se = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-    return McEstimate(value=float(sq.mean()), se=se, n=n)
+    y_c = x[:, :split] - spec.true_mean[:split]
+    z_c = x[:, split:] - spec.true_mean[split:]
+    out = []
+    for est in ests:
+        err = z_c - y_c @ est.coeff.T
+        sq = np.einsum("ij,ij->i", err, err)
+        se = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+        out.append(McEstimate(value=float(sq.mean()), se=se, n=n))
+    return out
 
 
 def mc_bias(
-    spec: GaussianSpec, est: Estimator, split: int, n: int, n_y: int = 100
-) -> McEstimate:
-    """Empirical squared conditional bias, stratified on the future block.
+    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int, n_y: int = 100
+) -> list[McEstimate]:
+    """Empirical squared conditional bias of each estimator, stratified on the
+    future block.
 
     For each of ``n // n_y`` draws of the future block z, ``n_y`` observation
     vectors are replicated from the reverse conditional law (mean ``R (z -
@@ -135,8 +144,14 @@ def mc_bias(
     and its squared distance to z is recorded.  The replication noise that
     inflates that distance is estimated from the within-stratum scatter and
     subtracted, so the estimator is unbiased for ``E || E[zhat | z] - z ||^2``.
+
+    The strata and their replicates are drawn once and scored for every
+    estimator (common random numbers): the estimates of a list equal those of
+    one-element calls bit for bit.
     """
-    syy, _, szy, szz, mean_y, mean_z = _split_blocks(spec, est, split)
+    _check_shapes(spec, ests, split)
+    cov = spec.true_cov
+    syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
     n_rep = max(2, min(n_y, n))
     n_z = max(1, n // n_rep)
     # reverse conditional: y | z is Gaussian with mean R (z - mean_z) + mean_y
@@ -145,16 +160,19 @@ def mc_bias(
     y_factor = _sqrt_factor(cond_cov)
     z_factor = _sqrt_factor(szz)
     rng = np.random.default_rng(spec.seed)
-    z_c = rng.standard_normal((n_z, est.horizon)) @ z_factor
+    z_c = rng.standard_normal((n_z, spec.dim - split)) @ z_factor
     eps = rng.standard_normal((n_z, n_rep, split)) @ y_factor
-    y_c = z_c @ r.T
-    zhat = (y_c[:, None, :] + eps) @ est.coeff.T
-    m_k = zhat.mean(axis=1)
-    resid = zhat - m_k[:, None, :]
-    noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
-    b_k = np.einsum("ki,ki->k", m_k - z_c, m_k - z_c) - noise / n_rep
-    se = float(b_k.std(ddof=1) / math.sqrt(n_z)) if n_z > 1 else float("inf")
-    return McEstimate(value=float(b_k.mean()), se=se, n=n_z * n_rep)
+    y = (z_c @ r.T)[:, None, :] + eps
+    out = []
+    for est in ests:
+        zhat = y @ est.coeff.T
+        m_k = zhat.mean(axis=1)
+        resid = zhat - m_k[:, None, :]
+        noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
+        b_k = np.einsum("ki,ki->k", m_k - z_c, m_k - z_c) - noise / n_rep
+        se = float(b_k.std(ddof=1) / math.sqrt(n_z)) if n_z > 1 else float("inf")
+        out.append(McEstimate(value=float(b_k.mean()), se=se, n=n_z * n_rep))
+    return out
 
 
 def random_covariance(dim: int, spectrum: np.ndarray, seed: int = 0) -> np.ndarray:

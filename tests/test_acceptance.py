@@ -75,8 +75,8 @@ def test_criterion_01_oracle_mse_agreement(pinned_model, pinned_spec):
     for L in RD_SIZES:
         ests[f"rd[L={L}]"] = SubspaceLadder(pinned_model).fit(L)
     worst_name, worst = "", 0.0
-    for name, est in ests.items():
-        mc = mc_mse(pinned_spec, est, FIXTURE_SPLIT, N_DRAWS)
+    mcs = mc_mse(pinned_spec, list(ests.values()), FIXTURE_SPLIT, N_DRAWS)
+    for (name, est), mc in zip(ests.items(), mcs):
         rel = abs(mc.value / theoretical_mse(pinned_model, est) - 1.0)
         if rel > worst:
             worst_name, worst = name, rel
@@ -93,20 +93,20 @@ def test_criterion_01_oracle_mse_agreement(pinned_model, pinned_spec):
 
 def test_criterion_02_bias_agreement(pinned_model, pinned_spec):
     clauses = []
+    rd = SubspaceLadder(pinned_model).fit(10)
+    gb = fit_gauss_bayes(pinned_model)
+    mc_unc, mc_rd, mc_gb = mc_bias(
+        pinned_spec, [fit_unconditional(pinned_model), rd, gb], FIXTURE_SPLIT, N_DRAWS
+    )
 
-    mc_unc = mc_bias(pinned_spec, fit_unconditional(pinned_model), FIXTURE_SPLIT, N_DRAWS)
     target_unc = float(np.trace(pinned_model.sigma_zz))
     rel_unc = abs(mc_unc.value / target_unc - 1.0)
     clauses.append(("unc", rel_unc <= 0.05, f"rel err {rel_unc:.4%} <= 5%"))
 
-    rd = SubspaceLadder(pinned_model).fit(10)
-    mc_rd = mc_bias(pinned_spec, rd, FIXTURE_SPLIT, N_DRAWS)
     target_rd, _ = bias_decomposition(pinned_model, rd)
     rel_rd = abs(mc_rd.value / target_rd - 1.0)
     clauses.append(("rd[L=10]", rel_rd <= 0.05, f"rel err {rel_rd:.4%} <= 5%"))
 
-    gb = fit_gauss_bayes(pinned_model)
-    mc_gb = mc_bias(pinned_spec, gb, FIXTURE_SPLIT, N_DRAWS)
     target_gb, _ = bias_decomposition(pinned_model, gb)
     rel_gb = abs(mc_gb.value / target_gb - 1.0)
     clauses.append(("gb", rel_gb <= 0.05, f"rel err {rel_gb:.4%} <= 5%"))
@@ -117,12 +117,17 @@ def test_criterion_02_bias_agreement(pinned_model, pinned_spec):
 
 
 def test_criterion_03_optimality_ordering(pinned_model, pinned_spec):
-    mc_gb = mc_mse(pinned_spec, fit_gauss_bayes(pinned_model), FIXTURE_SPLIT, N_DRAWS)
-    mc_unc = mc_mse(pinned_spec, fit_unconditional(pinned_model), FIXTURE_SPLIT, N_DRAWS)
+    ladder = SubspaceLadder(pinned_model)
+    mc_gb, mc_unc, *mc_rds = mc_mse(
+        pinned_spec,
+        [fit_gauss_bayes(pinned_model), fit_unconditional(pinned_model)]
+        + [ladder.fit(L) for L in RD_SIZES],
+        FIXTURE_SPLIT,
+        N_DRAWS,
+    )
     margins = []
     ok = True
-    for L in RD_SIZES:
-        mc_rd = mc_mse(pinned_spec, SubspaceLadder(pinned_model).fit(L), FIXTURE_SPLIT, N_DRAWS)
+    for L, mc_rd in zip(RD_SIZES, mc_rds):
         lo = mc_gb.value - mc_rd.value <= 3.0 * max(mc_gb.se, mc_rd.se)
         hi = mc_rd.value - mc_unc.value <= 3.0 * max(mc_rd.se, mc_unc.se)
         ok = ok and lo and hi
@@ -196,7 +201,7 @@ def test_criterion_05_conditioning():
 def test_criterion_06_mse_vs_l_curve_shape():
     cov = random_covariance(30, geometric_spectrum(30, 1e8), seed=5)
     model = CovarianceModel.from_matrix(cov, m=20)
-    mses = np.array([p.mse_rd for p in build_l_curve(model)])
+    mses = np.array([p.mse_rd for p in build_l_curve(SubspaceLadder(model))])
     slack = 1e-9 * float(mses[0])
     nonincreasing = bool(np.all(np.diff(mses) <= slack))
     drop_head = float(mses[0] - mses[9])     # improvement over L in [1, 10]

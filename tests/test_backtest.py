@@ -10,6 +10,7 @@ from subspace_forecast import (
     BacktestReport,
     CovarianceModel,
     NoFeasibleSubspaceError,
+    SubspaceLadder,
     SweepConfig,
     WindowConfig,
     build_hankel,
@@ -52,7 +53,7 @@ def test_sweep_config_validation():
 
 def test_l_curve_runs_over_every_subspace_size():
     model = dyadic_model()
-    curve = build_l_curve(model)
+    curve = build_l_curve(SubspaceLadder(model))
     assert [p.L for p in curve] == list(range(1, model.m + 1))
     assert curve[0].cond_ww == pytest.approx(1.0)  # scalar coordinate
     # more subspace can only help the closed-form error
@@ -66,7 +67,7 @@ def test_select_l_is_monotone_in_the_cap():
         model = dyadic_model(seed)
         picks = []
         for cap in caps:
-            best_l, sel = select_L(model, cap)
+            best_l, sel = select_L(SubspaceLadder(model), cap)
             assert sel.cond_ww <= cap
             assert sel.L == best_l
             picks.append(best_l)
@@ -76,7 +77,7 @@ def test_select_l_is_monotone_in_the_cap():
 def test_select_l_infeasible_cap_reports_floor():
     model = dyadic_model()
     with pytest.raises(NoFeasibleSubspaceError) as exc_info:
-        select_L(model, 0.5)
+        select_L(SubspaceLadder(model), 0.5)
     assert exc_info.value.min_condition_number == pytest.approx(1.0)
 
 
@@ -84,7 +85,7 @@ def test_select_l_breaks_ties_toward_smaller_subspace():
     # with an identity covariance no subspace helps: every L has the same
     # closed-form error, so the scan must settle on L = 1
     model = CovarianceModel.from_matrix(np.eye(12), m=8)
-    best_l, sel = select_L(model, 1e6)
+    best_l, sel = select_L(SubspaceLadder(model), 1e6)
     assert best_l == 1
     assert sel.cond_ww == pytest.approx(1.0)
 
@@ -92,7 +93,7 @@ def test_select_l_breaks_ties_toward_smaller_subspace():
 def test_select_l_validation_objective_needs_holdout():
     model = dyadic_model()
     with pytest.raises(ValueError):
-        select_L(model, 1e4, objective=OBJECTIVE_VALIDATION)
+        select_L(SubspaceLadder(model), 1e4, objective=OBJECTIVE_VALIDATION)
 
 
 # An exactly solvable market: prices c * exp(delta * u) with iid standard

@@ -107,7 +107,7 @@ def test_projection_rank_deficient_basis_raises():
     assert np.all(np.isfinite(rd.coeff)) and np.isfinite(rd.cond)
     with pytest.raises(IllConditionedError):
         ladder.fit(2)
-    assert build_l_curve(model)[1].mse_rd == np.inf
+    assert build_l_curve(ladder)[1].mse_rd == np.inf
 
 
 def test_reduced_dimension_collapses_to_gauss_bayes_at_full_size():

@@ -14,7 +14,6 @@ from subspace_forecast import (
     empirical_mse,
     fit_gauss_bayes,
     fit_unconditional,
-    mse_breakdown,
     theoretical_mse,
     volatility,
 )
@@ -91,15 +90,6 @@ def test_bias_decomposition_reduced_dimension(seed, L):
         ).T
         expected = float(np.einsum("ij,ij->", icr @ model.sigma_zz, icr))
         assert bias == pytest.approx(expected, rel=1e-7, abs=1e-10)
-
-
-def test_mse_breakdown_assembles_fields():
-    model = random_model(8, 5, seed=9)
-    gb = fit_gauss_bayes(model)
-    br = mse_breakdown(model, gb, empirical=1.23)
-    assert br.method == "gb"
-    assert br.empirical_mse == 1.23
-    assert br.bias_sq + br.variance == pytest.approx(br.theoretical_mse)
 
 
 def test_empirical_mse_hand_case():

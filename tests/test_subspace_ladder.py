@@ -70,7 +70,7 @@ def rel(a, b):
 
 
 def check_against_per_size(model):
-    for point in build_l_curve(model):
+    for point in build_l_curve(SubspaceLadder(model)):
         _, ref_mse, ref_cond = per_size_rd(model, point.L)
         assert rel(point.mse_rd, ref_mse) <= 1e-12, point.L
         assert rel(point.cond_ww, ref_cond) <= 1e-8, point.L
@@ -87,7 +87,7 @@ def test_ladder_matches_per_size_construction_on_pinned_fixture(pinned_model):
 
 def test_fit_agrees_with_the_curve(pinned_model):
     ladder = SubspaceLadder(pinned_model)
-    curve = build_l_curve(pinned_model)
+    curve = build_l_curve(ladder)
     for point in curve:
         est = ladder.fit(point.L)
         assert est.method == METHOD_RD and est.subspace_dim == point.L
@@ -123,7 +123,9 @@ def test_cumulative_validation_scan_matches_refits(seed, cap):
     # the largest feasible size
     val_y, val_z = validation_rows(random_model(12, 8, seed + 100), 60, seed)
     want_l, want_value = refit_scan(model, cap, val_y, val_z)
-    got_l, sel = select_L(model, cap, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)
+    got_l, sel = select_L(
+        SubspaceLadder(model), cap, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z
+    )
     assert got_l == want_l
     assert sel.objective_value == pytest.approx(want_value, rel=1e-10)
 
@@ -134,7 +136,8 @@ def test_cumulative_validation_scan_keeps_tie_order():
     model = CovarianceModel.from_matrix(np.eye(9), m=6)
     val_y, val_z = validation_rows(model, 40, seed=3)
     assert refit_scan(model, 1e6, val_y, val_z)[0] == 1
-    assert select_L(model, 1e6, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)[0] == 1
+    ladder = SubspaceLadder(model)
+    assert select_L(ladder, 1e6, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)[0] == 1
 
 
 def test_indefinite_observation_block_keeps_leading_points():
@@ -150,10 +153,10 @@ def test_indefinite_observation_block_keeps_leading_points():
     model = CovarianceModel.from_matrix(cov, m=m)
     assert np.linalg.eigvalsh(model.sigma_yy)[0] < 0
 
-    curve = build_l_curve(model)
+    ladder = SubspaceLadder(model)
+    curve = build_l_curve(ladder)
     assert all(np.isfinite([p.mse_rd, p.cond_ww]).all() for p in curve[:-1])
     assert np.isinf(curve[-1].mse_rd) and np.isinf(curve[-1].cond_ww)
-    ladder = SubspaceLadder(model)
     assert np.all(np.isfinite(ladder.fit(m - 1).coeff))
     with pytest.raises(IllConditionedError):
         ladder.fit(m)
@@ -200,7 +203,7 @@ def smooth_model(m_days):
 )
 def test_ladder_is_at_least_as_accurate_as_the_gram_path(case, sizes, pinned_model):
     model = pinned_model if case == "pinned" else smooth_model(80)
-    curve = build_l_curve(model)
+    curve = build_l_curve(SubspaceLadder(model))
     for L in sizes:
         ref_mse, ref_cond = mp_reference(model, L)
         gram_mse, gram_cond = gram_rd(model, L)
@@ -248,7 +251,7 @@ def test_singular_cutoff_stays_on_the_cond_ww_scale():
     # at L = 19 of the smooth M = 20 model cond(Y_L) is about 8e7, so
     # cond_ww is about 6.4e15: past 1 / SINGULARITY_RTOL, where the product
     # form's spectral_condition returned inf.  The size still has a fit.
-    point = build_l_curve(smooth_model(20))[18]
+    point = build_l_curve(SubspaceLadder(smooth_model(20)))[18]
     assert point.L == 19
     assert np.isinf(point.cond_ww)
     assert np.isfinite(point.mse_rd)

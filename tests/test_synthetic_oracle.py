@@ -61,20 +61,19 @@ def test_sample_moments_converge():
 def test_mc_estimate_float_protocol():
     spec = GaussianSpec(3, np.eye(3), seed=0)
     model = CovarianceModel.from_matrix(np.eye(3), m=2)
-    est = mc_mse(spec, fit_unconditional(model), split=2, n=2000)
+    (est,) = mc_mse(spec, [fit_unconditional(model)], split=2, n=2000)
     assert float(est) == est.value
     assert est.se > 0
     assert est.n == 2000
 
 
 def test_mc_mse_matches_closed_forms(pinned_spec, pinned_model):
-    split = FIXTURE_SPLIT
-    for est in (
+    ests = [
         fit_unconditional(pinned_model),
         fit_gauss_bayes(pinned_model),
         SubspaceLadder(pinned_model).fit(5),
-    ):
-        mc = mc_mse(pinned_spec, est, split, n=40_000)
+    ]
+    for est, mc in zip(ests, mc_mse(pinned_spec, ests, FIXTURE_SPLIT, n=40_000)):
         closed = theoretical_mse(pinned_model, est)
         assert mc.value == pytest.approx(closed, rel=0.05)
         # and much tighter than the contract tolerance in practice
@@ -85,18 +84,16 @@ def test_mc_mse_tiny_closed_forms():
     # conditional estimate on the hand-checkable 2x2 correlation-1/2 problem
     pair = CovarianceModel.from_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]), m=1)
     pair_spec = GaussianSpec(2, pair.sigma_xx, seed=21)
-    gb = fit_gauss_bayes(pair)
-    assert mc_mse(pair_spec, gb, 1, n=20_000).value == pytest.approx(0.75, rel=0.05)
+    gb, rd = fit_gauss_bayes(pair), SubspaceLadder(pair).fit(1)
+    mc_gb, mc_rd = mc_mse(pair_spec, [gb, rd], 1, n=20_000)
+    assert mc_gb.value == pytest.approx(0.75, rel=0.05)
+    # a full-size subspace reproduces the conditional answer on shared draws
+    assert mc_rd.value == pytest.approx(mc_gb.value, rel=1e-4)
     # prior mean on independent days: one unit of error per forecast day
     ident = CovarianceModel.from_matrix(np.eye(4), m=1)
     ident_spec = GaussianSpec(4, np.eye(4), seed=22)
     unc = fit_unconditional(ident)
-    assert mc_mse(ident_spec, unc, 1, n=20_000).value == pytest.approx(3.0, rel=0.05)
-    # a full-size subspace reproduces the conditional answer on shared draws
-    rd = SubspaceLadder(pair).fit(1)
-    assert mc_mse(pair_spec, rd, 1, n=20_000).value == pytest.approx(
-        mc_mse(pair_spec, gb, 1, n=20_000).value, rel=1e-4
-    )
+    assert mc_mse(ident_spec, [unc], 1, n=20_000)[0].value == pytest.approx(3.0, rel=0.05)
 
 
 def test_mc_mse_rejects_mismatched_split():
@@ -104,25 +101,30 @@ def test_mc_mse_rejects_mismatched_split():
     gb = fit_gauss_bayes(pair)
     wide = GaussianSpec(4, np.eye(4), seed=3)
     with pytest.raises(ValueError, match="does not match spec dim"):
-        mc_mse(wide, gb, 2, n=10)
+        mc_mse(wide, [gb], 2, n=10)
 
 
-def test_mc_bias_singular_future_block_raises():
+def no_draw(seed):
+    raise AssertionError("drew samples before the inputs were checked")
+
+
+def test_mc_bias_singular_future_block_raises(monkeypatch):
     est = fit_unconditional(CovarianceModel.from_matrix(np.eye(3), m=2))
     degenerate = GaussianSpec(3, np.diag([1.0, 1.0, 0.0]), seed=9)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(IllConditionedError):
-        mc_bias(degenerate, est, 2, n=1_000)
+        mc_bias(degenerate, [est, est], 2, n=1_000)
 
 
 def test_mc_bias_unconditional_is_total_future_variance(pinned_spec, pinned_model):
-    mc = mc_bias(pinned_spec, fit_unconditional(pinned_model), FIXTURE_SPLIT, n=40_000)
+    (mc,) = mc_bias(pinned_spec, [fit_unconditional(pinned_model)], FIXTURE_SPLIT, n=40_000)
     assert mc.value == pytest.approx(np.trace(pinned_model.sigma_zz), rel=0.05)
 
 
 def test_mc_bias_reduced_dimension_matches_closed_form(pinned_spec, pinned_model):
-    for L in (5, 10):
-        rd = SubspaceLadder(pinned_model).fit(L)
-        mc = mc_bias(pinned_spec, rd, FIXTURE_SPLIT, n=40_000)
+    ladder = SubspaceLadder(pinned_model)
+    rds = [ladder.fit(L) for L in (5, 10)]
+    for rd, mc in zip(rds, mc_bias(pinned_spec, rds, FIXTURE_SPLIT, n=40_000)):
         closed, _ = bias_decomposition(pinned_model, rd)
         assert abs(mc.value - closed) <= 0.05 * closed + 3.0 * mc.se
 
@@ -139,10 +141,43 @@ def test_mc_bias_conditional_mean_equals_full_subspace_form(pinned_spec, pinned_
     gb = fit_gauss_bayes(pinned_model)
     rd_full = SubspaceLadder(pinned_model).fit(FIXTURE_SPLIT)
     closed, _ = bias_decomposition(pinned_model, rd_full)
-    mc = mc_bias(pinned_spec, gb, FIXTURE_SPLIT, n=40_000)
+    (mc,) = mc_bias(pinned_spec, [gb], FIXTURE_SPLIT, n=40_000)
     assert closed > 0.1  # the effect is far from negligible on this fixture
     assert abs(mc.value - closed) <= 0.05 * closed + 3.0 * mc.se
     assert bias_decomposition(pinned_model, gb)[0] == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("oracle", [mc_mse, mc_bias])
+def test_one_draw_serves_every_estimator(oracle, pinned_spec, pinned_model):
+    """Common random numbers: a list call scores every estimator on the draws
+    a one-element call makes, so each estimate is bit-identical to its
+    one-element call, whatever its position in the list."""
+    ests = [
+        fit_unconditional(pinned_model),
+        SubspaceLadder(pinned_model).fit(5),
+        fit_gauss_bayes(pinned_model),
+    ]
+    singles = [oracle(pinned_spec, [est], FIXTURE_SPLIT, 4_000)[0] for est in ests]
+    together = oracle(pinned_spec, ests, FIXTURE_SPLIT, 4_000)
+    reordered = oracle(pinned_spec, ests[::-1], FIXTURE_SPLIT, 4_000)[::-1]
+    for got in (together, reordered):
+        assert [(e.value, e.se, e.n) for e in got] == [(e.value, e.se, e.n) for e in singles]
+    assert len({e.value for e in singles}) == len(ests)
+
+
+@pytest.mark.parametrize("oracle", [mc_mse, mc_bias])
+def test_oracles_check_every_estimator_before_drawing(
+    oracle, pinned_spec, pinned_model, monkeypatch
+):
+    ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model)]
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    pair = CovarianceModel.from_matrix(np.array([[1.0, 0.5], [0.5, 1.0]]), m=1)
+    for pos in range(len(ests) + 1):
+        mixed = ests[:pos] + [fit_gauss_bayes(pair)] + ests[pos:]
+        with pytest.raises(ValueError, match="does not match spec dim"):
+            oracle(pinned_spec, mixed, FIXTURE_SPLIT, 1_000)
+    with pytest.raises(ValueError, match="at least one estimator"):
+        oracle(pinned_spec, [], FIXTURE_SPLIT, 1_000)
 
 
 def test_random_covariance_has_requested_spectrum():
