@@ -13,32 +13,14 @@ Example:
 """
 
 import argparse
+import sys
 from datetime import date, timedelta
 from pathlib import Path
 
-import numpy as np
+# run from a checkout without installing: the generators live in the package
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-
-def gbm(n, seed, mu=2e-4, sigma=0.015, start=100.0):
-    rng = np.random.default_rng(seed)
-    steps = mu + sigma * rng.standard_normal(n - 1)
-    return start * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-
-
-def smooth(n, seed, sigma=0.004, rho=0.9, start=100.0):
-    rng = np.random.default_rng(seed)
-    t = np.arange(n)
-    log_trend = (
-        0.00025 * t
-        + 0.10 * np.sin(2 * np.pi * t / 750)
-        + 0.04 * np.sin(2 * np.pi * t / 180)
-    )
-    eps = rng.standard_normal(n)
-    ar = np.empty(n)
-    ar[0] = eps[0]
-    for i in range(1, n):
-        ar[i] = rho * ar[i - 1] + eps[i]
-    return start * np.exp(log_trend + np.cumsum(sigma * ar * np.sqrt(1 - rho**2)))
+from subspace_forecast import gbm_prices, smooth_prices  # noqa: E402
 
 
 def main():
@@ -55,7 +37,7 @@ def main():
     kwargs = {"start": args.start}
     if args.sigma is not None:
         kwargs["sigma"] = args.sigma
-    prices = (gbm if args.kind == "gbm" else smooth)(args.days, args.seed, **kwargs)
+    prices = (gbm_prices if args.kind == "gbm" else smooth_prices)(args.days, args.seed, **kwargs)
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -70,12 +70,15 @@ from .metrics import (
 from .synthetic_oracle import (
     GaussianSpec,
     McEstimate,
+    gbm_prices,
     geometric_spectrum,
     load_gaussian_spec,
     mc_bias,
     mc_mse,
+    mc_squared_errors,
     random_covariance,
     sample,
+    smooth_prices,
 )
 
 __version__ = "0.1.0"

@@ -239,11 +239,14 @@ def select_L(
 ) -> tuple[int, SubspaceSelection]:
     """Smallest-L minimizer of the objective among sizes obeying the cap.
 
-    ``ladder`` is the model's :class:`SubspaceLadder`, and ``curve`` defaults
-    to its :func:`build_l_curve`.  The scan runs over ``L = 1..m`` in order,
-    so exact objective ties resolve toward the smaller subspace.  The
-    validation objective scores every size in one pass over
-    :meth:`SubspaceLadder.forecasts`.  Raises
+    ``ladder`` is the model's :class:`SubspaceLadder`.  Feasibility comes from
+    ``cond_ww`` of every size ``L = 1..m``, which the ladder computes once per
+    size and keeps for later caps and fits.  Only feasible sizes are scored:
+    the theoretical objective reads their ``mse_rd`` from ``curve`` (the
+    ladder's :func:`build_l_curve`) when given, else fits and scores them,
+    and the validation objective scores them in one pass over
+    :meth:`SubspaceLadder.forecasts`.  The scan runs over ``L`` in order, so
+    exact objective ties resolve toward the smaller subspace.  Raises
     :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
     condition number) when no size satisfies the cap.
     """
@@ -251,32 +254,34 @@ def select_L(
         raise ValueError(f"unknown objective {objective!r}")
     if objective == OBJECTIVE_VALIDATION and (val_y is None or val_z is None):
         raise ValueError("validation objective needs val_y and val_z")
-    if curve is None:
-        curve = build_l_curve(ladder)
-    min_cond = min(p.cond_ww for p in curve)
-    feasible = [p for p in curve if p.cond_ww <= cap]
+    model = ladder.model
+    conds = [ladder.cond_ww(l_size) for l_size in range(1, model.m + 1)]
+    min_cond = min(conds)
+    feasible = [l_size for l_size, cond in enumerate(conds, start=1) if cond <= cap]
     if not feasible:
         raise NoFeasibleSubspaceError(
-            f"no subspace size in [1, {ladder.model.m}] keeps cond(sigma_ww) <= {cap:g}; "
+            f"no subspace size in [1, {model.m}] keeps cond(sigma_ww) <= {cap:g}; "
             f"minimum achievable is {min_cond:g}",
             min_condition_number=min_cond,
         )
-    if objective == OBJECTIVE_THEORETICAL:
-        values = {p.L: p.mse_rd for p in feasible}
-    else:
-        scan = itertools.islice(ladder.forecasts(val_y), feasible[-1].L)
+    if objective == OBJECTIVE_VALIDATION:
+        scan = itertools.islice(ladder.forecasts(val_y), feasible[-1])
         values = {
             l_size: metrics.empirical_mse(pred, val_z).total
             for l_size, pred in enumerate(scan, start=1)
         }
-    best = None
-    best_value = float("inf")
-    for point in feasible:
-        value = values[point.L]
-        if value < best_value:
-            best, best_value = point, value
-    return best.L, SubspaceSelection(
-        L=best.L, cond_ww=best.cond_ww, objective_value=best_value, min_cond=min_cond
+    elif curve is None:
+        values = {
+            l_size: metrics.theoretical_mse(model, ladder.fit(l_size)) for l_size in feasible
+        }
+    else:
+        values = {l_size: curve[l_size - 1].mse_rd for l_size in feasible}
+    best, best_value = None, float("inf")
+    for l_size in feasible:
+        if values[l_size] < best_value:
+            best, best_value = l_size, values[l_size]
+    return best, SubspaceSelection(
+        L=best, cond_ww=conds[best - 1], objective_value=best_value, min_cond=min_cond
     )
 
 
@@ -341,12 +346,13 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         curve = build_l_curve(ladder)
         curves[m_days] = curve
 
+        # the validation objective selects on a sub-train model, whose
+        # ladder gives only its cond_ww profile: no curve, no mse_rd
         sel_ladder, sel_curve, val_y, val_z = ladder, curve, None, None
         if sweep.objective == OBJECTIVE_VALIDATION:
             n_val = max(1, train.n_samples // 5)
             sub_train, val = split_train_test(train, n_val)
-            sel_ladder = SubspaceLadder(empirical_covariance(sub_train))
-            sel_curve = build_l_curve(sel_ladder)
+            sel_ladder, sel_curve = SubspaceLadder(empirical_covariance(sub_train)), None
             val_y, val_z = val.y_block, val.z_block
 
         unc_result = _evaluate_method(model, fit_unconditional(model), test)

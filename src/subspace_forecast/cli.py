@@ -54,8 +54,8 @@ from .synthetic_oracle import (
     geometric_spectrum,
     load_gaussian_spec,
     mc_bias,
+    mc_squared_errors,
     random_covariance,
-    sample,
 )
 
 EXIT_OK = 0
@@ -272,13 +272,8 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
         rows.append((name, value, target, tol_desc, abs(value - target), limit))
 
     # closed-form MSE against fresh-draw Monte-Carlo, common draws per seed
-    x = sample(spec, n)
-    y_c = x[:, :m] - spec.true_mean[:m]
-    z_c = x[:, m:] - spec.true_mean[m:]
-    sq_errors = {}
+    sq_errors = dict(zip(estimators, mc_squared_errors(spec, list(estimators.values()), m, n)))
     for name, est in estimators.items():
-        err = z_c - y_c @ est.coeff.T
-        sq_errors[name] = np.einsum("ij,ij->i", err, err)
         closed = theoretical_mse(model, est)
         check(f"mse/{name}", float(sq_errors[name].mean()), closed, "5% rel", 0.05 * closed)
 

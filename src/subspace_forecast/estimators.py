@@ -105,6 +105,9 @@ class SubspaceLadder:
     formed once, and ``cond_ww(L) = cond(Y_L)**2`` takes one SVD of ``Y_L``:
     no per-size solve and no product that squares before the SVD.
 
+    Each size's ``cond_ww`` is stored on the ladder when first computed, so
+    the condition profile, every cap and ``fit`` share one SVD per size.
+
     Sizes past ``rank`` are unusable: the basis loses rank there (judged from
     ``|R_ii|`` of the basis itself) or ``S`` stops being positive definite
     (the first bad Cholesky pivot).  Their curve points are ``inf`` and
@@ -129,6 +132,7 @@ class SubspaceLadder:
         self._k = k
         self._w = solve_triangular(k, self._q.T @ model.sigma_yz, lower=True)
         self._y = solve_triangular(k, self._r, lower=True)
+        self._cond_ww: dict[int, float] = {}
 
     def check(self, L: int) -> None:
         """Raise unless size ``L`` can be fitted."""
@@ -150,10 +154,17 @@ class SubspaceLadder:
 
         ``inf`` past ``rank`` and where ``sigma_ww(L)`` counts as numerically
         singular (``cond_ww * SINGULARITY_RTOL >= 1``, the cut-off of
-        ``spectral_condition``).
+        ``spectral_condition``).  Stored on the ladder after the first call.
         """
         if L > self.rank:
             return float("inf")
+        cond = self._cond_ww.get(L)
+        if cond is None:
+            cond = self._cond_ww[L] = self._svd_cond_ww(L)
+        return cond
+
+    def _svd_cond_ww(self, L: int) -> float:
+        """``cond(Y_L)**2`` from one SVD of ``Y_L``, with the singular cut-off."""
         s = np.linalg.svd(self._y[:L, :L], compute_uv=False)
         ratio = float(s[0]) / float(s[-1]) if s[-1] > 0 else float("inf")
         cond = ratio * ratio  # a float product overflows to inf, ``**`` raises

@@ -1,7 +1,8 @@
 """Ground-truth Gaussian sampler and Monte-Carlo checks for the closed forms.
 
 Estimators fitted from a known covariance can be scored against brute-force
-sampling: :func:`mc_mse` replays the forecast on fresh draws, and
+sampling: :func:`mc_mse` replays the forecast on fresh draws
+(:func:`mc_squared_errors` keeps the error of every draw), and
 :func:`mc_bias` estimates the conditional bias by stratifying on the future
 block and replicating observations from the reverse conditional law.  Both
 take a sequence of estimators, draw once and score every estimator on the
@@ -10,7 +11,9 @@ estimator, in order.
 
 Fixture covariances come from :func:`random_covariance`, which pins an exact
 eigenvalue spectrum on a random orthogonal basis so conditioning is
-controllable.
+controllable.  Synthetic price paths come from :func:`gbm_prices` (well
+conditioned) and :func:`smooth_prices` (nearly collinear windows); the tests,
+the benchmark and ``scripts/make_synthetic_prices.py`` all draw from them.
 """
 
 from __future__ import annotations
@@ -29,11 +32,14 @@ __all__ = [
     "GaussianSpec",
     "McEstimate",
     "sample",
+    "mc_squared_errors",
     "mc_mse",
     "mc_bias",
     "random_covariance",
     "geometric_spectrum",
     "load_gaussian_spec",
+    "gbm_prices",
+    "smooth_prices",
 ]
 
 
@@ -110,13 +116,14 @@ def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> 
             )
 
 
-def mc_mse(
+def mc_squared_errors(
     spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
-) -> list[McEstimate]:
-    """Empirical mean squared error of each estimator over ``n`` fresh draws.
+) -> list[np.ndarray]:
+    """Squared forecast error ``||z_c - C y_c||^2`` of each estimator on each
+    of ``n`` fresh draws.
 
     One :func:`sample` serves every estimator (common random numbers), so the
-    estimates of a list equal those of one-element calls bit for bit, and
+    errors of a list equal those of one-element calls bit for bit, and
     differences between estimators carry no independent sampling noise.
     """
     _check_shapes(spec, ests, split)
@@ -126,7 +133,17 @@ def mc_mse(
     out = []
     for est in ests:
         err = z_c - y_c @ est.coeff.T
-        sq = np.einsum("ij,ij->i", err, err)
+        out.append(np.einsum("ij,ij->i", err, err))
+    return out
+
+
+def mc_mse(
+    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
+) -> list[McEstimate]:
+    """Empirical mean squared error of each estimator over ``n`` fresh draws,
+    the means of :func:`mc_squared_errors`."""
+    out = []
+    for sq in mc_squared_errors(spec, ests, split, n):
         se = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
         out.append(McEstimate(value=float(sq.mean()), se=se, n=n))
     return out
@@ -203,3 +220,34 @@ def load_gaussian_spec(path: str, seed: int = 0) -> GaussianSpec:
             raise
         raise ParseError(f"{path}: not a numeric CSV matrix: {exc}") from exc
     return GaussianSpec(dim=cov.shape[0], true_cov=cov, seed=seed)
+
+
+def gbm_prices(n, seed, mu=2e-4, sigma=0.015, start=100.0):
+    """Plain geometric Brownian motion, the everyday well-behaved input."""
+    rng = np.random.default_rng(seed)
+    steps = mu + sigma * rng.standard_normal(n - 1)
+    return start * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+
+
+def smooth_prices(n, seed, sigma=0.004, rho=0.9, start=100.0):
+    """Slow trends plus an AR(1)-smoothed random walk.
+
+    Windows drawn from this path are highly collinear, which drives the
+    observation-block condition number past 1e5 for M around 80 — the
+    deliberately ill-conditioned input.  Its properties are asserted where
+    it is used.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    log_trend = (
+        0.00025 * t
+        + 0.10 * np.sin(2 * np.pi * t / 750)
+        + 0.04 * np.sin(2 * np.pi * t / 180)
+    )
+    eps = rng.standard_normal(n)
+    ar = np.empty(n)
+    ar[0] = eps[0]
+    for i in range(1, n):
+        ar[i] = rho * ar[i - 1] + eps[i]
+    noise = np.cumsum(sigma * ar * np.sqrt(1.0 - rho**2))
+    return start * np.exp(log_trend + noise)

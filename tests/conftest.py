@@ -10,45 +10,20 @@ from subspace_forecast import (
     CovarianceModel,
     GaussianSpec,
     PriceSeries,
+    gbm_prices,
     geometric_spectrum,
     random_covariance,
+    smooth_prices,
 )
+
+# The price generators live in the package; the tests and the benchmark
+# import them from here, next to the CSV writer.
+__all__ = ["gbm_prices", "smooth_prices", "to_series", "write_price_csv"]
 
 # The CLI tests start ``python -m subspace_forecast`` in child processes; they
 # import the package from the same source tree as this process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
-
-
-def gbm_prices(n, seed, mu=2e-4, sigma=0.015, start=100.0):
-    """Plain geometric Brownian motion, the everyday well-behaved fixture."""
-    rng = np.random.default_rng(seed)
-    steps = mu + sigma * rng.standard_normal(n - 1)
-    return start * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-
-
-def smooth_prices(n, seed, sigma=0.004, rho=0.9, start=100.0):
-    """Slow trends plus an AR(1)-smoothed random walk.
-
-    Windows drawn from this path are highly collinear, which drives the
-    observation-block condition number past 1e5 for M around 80 — the
-    deliberately ill-conditioned fixture.  Construction-time properties are
-    asserted where the fixture is used.
-    """
-    rng = np.random.default_rng(seed)
-    t = np.arange(n)
-    log_trend = (
-        0.00025 * t
-        + 0.10 * np.sin(2 * np.pi * t / 750)
-        + 0.04 * np.sin(2 * np.pi * t / 180)
-    )
-    eps = rng.standard_normal(n)
-    ar = np.empty(n)
-    ar[0] = eps[0]
-    for i in range(1, n):
-        ar[i] = rho * ar[i - 1] + eps[i]
-    noise = np.cumsum(sigma * ar * np.sqrt(1.0 - rho**2))
-    return start * np.exp(log_trend + noise)
 
 
 def to_series(prices, ticker="synthetic"):

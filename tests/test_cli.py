@@ -11,9 +11,10 @@ import pytest
 
 from subspace_forecast import WindowConfig, build_hankel, load_csv, normalize_and_center
 
-from conftest import gbm_prices, write_price_csv
+from conftest import gbm_prices, smooth_prices, write_price_csv
 
 CLI = [sys.executable, "-m", "subspace_forecast"]
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
 def run_cli(*args, env_extra=None):
@@ -240,3 +241,24 @@ def test_console_entry_point_matches_module_invocation(price_csv):
     assert module.returncode == 0, module.stderr
     assert script.returncode == 0, script.stderr
     assert script.stdout == module.stdout
+
+
+@pytest.mark.parametrize(
+    "kind, flags, prices",
+    [
+        ("gbm", ["--sigma", "0.01", "--start", "50"], gbm_prices(400, 5, sigma=0.01, start=50.0)),
+        ("smooth", [], smooth_prices(400, 5)),
+    ],
+)
+def test_price_script_writes_the_fixture_csv(kind, flags, prices, tmp_path):
+    # one definition of the generators serves the script, the tests and the
+    # benchmark; the script's CSV is byte-identical to the fixture writer's
+    out = tmp_path / "script.csv"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "make_synthetic_prices.py"), "--kind", kind,
+         "--days", "400", "--seed", "5", *flags, "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = write_price_csv(tmp_path / "fixture.csv", prices)
+    assert out.read_bytes() == open(want, "rb").read()

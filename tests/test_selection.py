@@ -1,0 +1,238 @@
+"""Subspace-size selection scores only the sizes whose value it compares.
+
+``select_L`` learns feasibility from ``cond_ww`` of every size and scores
+only the feasible ones; without a curve the ladder supplies the condition
+profile, one SVD per size, kept for later caps and fits.  These tests hold
+that to the full-curve selection, count the work a forecast and a
+validation sweep do, and check the invariant that makes the theoretical
+objective well posed: ``mse_rd`` does not grow with ``L``.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subspace_forecast import (
+    OBJECTIVE_THEORETICAL,
+    OBJECTIVE_VALIDATION,
+    NoFeasibleSubspaceError,
+    SubspaceLadder,
+    SweepConfig,
+    WindowConfig,
+    build_hankel,
+    build_l_curve,
+    cli,
+    empirical_covariance,
+    metrics,
+    normalize_and_center,
+    run_backtest,
+    select_L,
+    split_train_test,
+)
+
+from conftest import gbm_prices, smooth_prices, to_series, write_price_csv
+from test_backtest import dyadic_model
+from test_estimators import random_model, seeds
+from test_subspace_ladder import validation_rows
+
+OBJECTIVES = (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION)
+GENERATORS = {"gbm": gbm_prices, "smooth": smooth_prices}
+SWEEP_M = (20, 50, 80, 110, 140, 170, 200)
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_cell(kind, m_days):
+    """The full-train model, the sub-train model and the validation rows of
+    the sweep's ``M = m_days`` cell on ``<kind>_prices(5000, 1000)``."""
+    series = to_series(GENERATORS[kind](5000, 1000))
+    n = m_days + 10
+    windows = build_hankel(series, n, len(series) - n + 1)
+    data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
+    train = split_train_test(data, 2200)[0]
+    sub_train, val = split_train_test(train, max(1, train.n_samples // 5))
+    return (
+        empirical_covariance(train),
+        empirical_covariance(sub_train),
+        val.y_block,
+        val.z_block,
+    )
+
+
+def selection_case(name, request):
+    """``(model, val_y, val_z)`` of a named case."""
+    kind, _, arg = name.partition(":")
+    if kind == "random":
+        seed = int(arg)
+        val_y, val_z = validation_rows(random_model(12, 8, seed + 100), 60, seed)
+        return random_model(12, 8, seed), val_y, val_z
+    if kind == "dyadic":
+        model = dyadic_model(int(arg))
+        return (model, *validation_rows(model, 80, int(arg)))
+    if kind == "pinned":
+        model = request.getfixturevalue("pinned_model")
+        return (model, *validation_rows(model, 80, 0))
+    # a price fixture: the sub-train model with its validation rows, as the
+    # validation sweep selects; the full-train model is checked as well below
+    _, sub_model, val_y, val_z = sweep_cell(kind, int(arg))
+    return sub_model, val_y, val_z
+
+
+def outcome(ladder, cap, objective, val_y, val_z, curve=None):
+    try:
+        return select_L(ladder, cap, objective, curve=curve, val_y=val_y, val_z=val_z)
+    except NoFeasibleSubspaceError as exc:
+        return str(exc), exc.min_condition_number
+
+
+def check_selection_without_curve(model, val_y, val_z):
+    reference = SubspaceLadder(model)
+    curve = build_l_curve(reference)
+    # every distinct feasibility set: each finite cond_ww as the cap (the
+    # bound is inclusive), the sweep's caps and one below every size
+    caps = sorted({p.cond_ww for p in curve if np.isfinite(p.cond_ww)} | {0.5, 1e3, 1e4})
+    for objective in OBJECTIVES:
+        ladder = SubspaceLadder(model)  # one ladder serves every cap
+        for cap in caps:
+            want = outcome(reference, cap, objective, val_y, val_z, curve=curve)
+            got = outcome(ladder, cap, objective, val_y, val_z)
+            assert got == want, (objective, cap)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*(f"random:{s}" for s in range(8)), "dyadic:0", "dyadic:1", "dyadic:4", "pinned",
+     "gbm:20", "gbm:80", "smooth:20", "smooth:80"],
+)
+def test_selection_without_a_curve_equals_selection_from_the_full_curve(name, request):
+    check_selection_without_curve(*selection_case(name, request))
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_selection_without_a_curve_on_the_full_train_price_model(kind):
+    model, _, val_y, val_z = sweep_cell(kind, 80)
+    check_selection_without_curve(model, val_y, val_z)
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Record every fit, every ``cond_ww`` SVD, every validation scan and
+    every closed-form MSE, with the ladder (or model) each ran on.
+
+    ``SubspaceLadder.cond_ww`` keeps each size's value on the ladder and
+    runs the SVD through ``_svd_cond_ww`` only on the first call for a
+    size, so that is where the SVDs are counted.
+    """
+    calls = {"fit": [], "svd": [], "scan": [], "mse": []}
+
+    def counted(key, original, record):
+        def wrapper(*args):
+            calls[key].append(record(*args))
+            return original(*args)
+
+        return wrapper
+
+    ladder_and_size = lambda ladder, L: (ladder, L)  # noqa: E731
+    monkeypatch.setattr(
+        SubspaceLadder, "fit", counted("fit", SubspaceLadder.fit, ladder_and_size)
+    )
+    monkeypatch.setattr(
+        SubspaceLadder,
+        "_svd_cond_ww",
+        counted("svd", SubspaceLadder._svd_cond_ww, ladder_and_size),
+    )
+    monkeypatch.setattr(
+        SubspaceLadder,
+        "forecasts",
+        counted("scan", SubspaceLadder.forecasts, lambda ladder, y: ladder),
+    )
+    monkeypatch.setattr(
+        metrics,
+        "theoretical_mse",
+        counted("mse", metrics.theoretical_mse, lambda model, est: (model, est.method)),
+    )
+    monkeypatch.setenv("SUBSPACE_FORECAST_LOG", "quiet")
+    return calls
+
+
+def assert_one_svd_per_size(calls):
+    assert len(calls["svd"]) == len(set(calls["svd"])), "a size's SVD ran twice"
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("m_days", [20, 60])
+def test_forecast_fits_no_infeasible_size(kind, m_days, work, tmp_path, capsys):
+    cap = 1e4
+    csv = write_price_csv(tmp_path / "p.csv", GENERATORS[kind](3000, 7))
+    assert cli.main(["forecast", "--csv", csv, "--m", str(m_days), "--cap", str(cap)]) == 0
+    (ladder,) = {ladder for ladder, _ in work["fit"]}
+    feasible = [L for L in range(1, ladder.model.m + 1) if ladder.cond_ww(L) <= cap]
+    assert len(feasible) < ladder.model.m  # the cap excludes sizes, so skipping them shows
+    assert_one_svd_per_size(work)
+    assert sorted(L for _, L in work["svd"]) == list(range(1, ladder.rank + 1))
+    fitted = [L for _, L in work["fit"]]
+    # every feasible size once for its score, then the chosen size once more
+    assert fitted[:-1] == feasible and fitted[-1] in feasible
+    assert work["mse"] == [(ladder.model, "rd")] * len(feasible)
+    assert f"L: {fitted[-1]}" in capsys.readouterr().out
+
+
+def test_forecast_with_a_pinned_size_runs_one_svd(work, tmp_path, capsys):
+    csv = write_price_csv(tmp_path / "p.csv", smooth_prices(3000, 7))
+    assert cli.main(["forecast", "--csv", csv, "--m", "60", "--l", "12"]) == 0
+    (ladder,) = {ladder for ladder, _ in work["fit"]}
+    assert work["svd"] == [(ladder, 12)]
+    assert work["fit"] == [(ladder, 12)]
+    assert work["mse"] == [] and work["scan"] == []
+    assert "L: 12" in capsys.readouterr().out
+
+
+def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
+    sweep = SweepConfig(
+        m_values=(20, 40), condition_caps=(1e3, 1e4), n_test=600, objective=OBJECTIVE_VALIDATION
+    )
+    report = run_backtest(to_series(smooth_prices(1500, 3)), sweep)
+    assert all(not cell.skipped for cell in report.cells)
+    sub_ladders = set(work["scan"])
+    assert len(sub_ladders) == 2 and len(work["scan"]) == 4  # one scan per M and cap
+    sub_models = [ladder.model for ladder in sub_ladders]
+    assert not any(model is sub for model, _ in work["mse"] for sub in sub_models)
+    assert not any(ladder in sub_ladders for ladder, _ in work["fit"])
+    assert_one_svd_per_size(work)
+    for ladder in {ladder for ladder, _ in work["svd"]}:
+        sizes = sorted(L for lad, L in work["svd"] if lad is ladder)
+        assert sizes == list(range(1, ladder.rank + 1))  # the profile, or the curve
+
+
+def test_theoretical_sweep_reads_the_curve_without_refitting(work):
+    sweep = SweepConfig(m_values=(20,), condition_caps=(1e3, 1e4), n_test=600)
+    report = run_backtest(to_series(smooth_prices(1500, 3)), sweep)
+    (ladder,) = {ladder for ladder, _ in work["fit"]}
+    chosen = [cell.best_L for cell in report.cells]
+    # the curve fits every size once, then each cap fits its chosen size
+    assert [L for _, L in work["fit"]] == [*range(1, ladder.rank + 1), *chosen]
+    assert_one_svd_per_size(work)
+
+
+def assert_mse_rd_nonincreasing(curve):
+    """``mse_rd(L + 1) <= mse_rd(L)`` up to four units in the last place."""
+    mse = np.array([p.mse_rd for p in curve])
+    mse = mse[np.isfinite(mse)]
+    rise = np.diff(mse) / np.spacing(mse[:-1])
+    assert rise.size == 0 or rise.max() <= 4, rise.max()
+
+
+@given(seed=seeds, dim=st.integers(3, 16), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_mse_rd_does_not_grow_with_the_subspace(seed, dim, data):
+    m = data.draw(st.integers(1, dim - 1))
+    assert_mse_rd_nonincreasing(build_l_curve(SubspaceLadder(random_model(dim, m, seed))))
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("m_days", SWEEP_M)
+def test_mse_rd_does_not_grow_with_the_subspace_on_price_series(kind, m_days):
+    model = sweep_cell(kind, m_days)[0]
+    assert_mse_rd_nonincreasing(build_l_curve(SubspaceLadder(model)))

@@ -19,6 +19,7 @@ from subspace_forecast import (
     load_gaussian_spec,
     mc_bias,
     mc_mse,
+    mc_squared_errors,
     random_covariance,
     sample,
     theoretical_mse,
@@ -94,6 +95,18 @@ def test_mc_mse_tiny_closed_forms():
     ident_spec = GaussianSpec(4, np.eye(4), seed=22)
     unc = fit_unconditional(ident)
     assert mc_mse(ident_spec, [unc], 1, n=20_000)[0].value == pytest.approx(3.0, rel=0.05)
+
+
+def test_mc_mse_is_the_mean_of_the_per_draw_squared_errors(pinned_spec, pinned_model):
+    ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model)]
+    sq = mc_squared_errors(pinned_spec, ests, FIXTURE_SPLIT, 3_000)
+    assert [s.shape for s in sq] == [(3_000,)] * 2
+    x = sample(pinned_spec, 3_000)  # the same draws, scored independently
+    y, z = x[:, :FIXTURE_SPLIT], x[:, FIXTURE_SPLIT:]
+    for est, got in zip(ests, sq):
+        assert_allclose(got, ((z - y @ est.coeff.T) ** 2).sum(axis=1), rtol=1e-12)
+    mse = mc_mse(pinned_spec, ests, FIXTURE_SPLIT, 3_000)
+    assert [e.value for e in mse] == [float(s.mean()) for s in sq]
 
 
 def test_mc_mse_rejects_mismatched_split():
