@@ -21,12 +21,7 @@ from .backtest import (
     run_backtest,
     select_L,
 )
-from .covariance_model import (
-    CovarianceModel,
-    condition_number,
-    dump_covariance_csv,
-    empirical_covariance,
-)
+from .covariance_model import CovarianceModel, dump_covariance_csv, empirical_covariance
 from .data_pipeline import (
     DataMatrix,
     PriceSeries,
@@ -61,9 +56,9 @@ from .estimators import (
 from .metrics import (
     DirectionalReport,
     EmpiricalMse,
-    bias_decomposition,
     directional_statistic,
     empirical_mse,
+    squared_bias,
     theoretical_mse,
     volatility,
 )

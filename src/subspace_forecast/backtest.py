@@ -17,13 +17,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .covariance_model import CovarianceModel, condition_number, empirical_covariance
+from ._linalg import spectral_condition
+from .covariance_model import CovarianceModel, empirical_covariance
 from .data_pipeline import (
     DataMatrix,
     PriceSeries,
@@ -94,10 +96,15 @@ class SweepConfig:
             raise ValueError("m_values must not be empty")
         if any(m < 2 for m in self.m_values):
             raise ValueError("every observation length must be >= 2")
+        if len(set(self.m_values)) != len(self.m_values):
+            raise ValueError(f"observation lengths must be distinct, got {list(self.m_values)}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not self.condition_caps or any(c < 1 for c in self.condition_caps):
-            raise ValueError("condition caps must be >= 1")
+        caps = self.condition_caps
+        if not caps or not all(math.isfinite(c) and c >= 1 for c in caps):
+            raise ValueError("condition caps must be finite and >= 1")
+        if len(set(caps)) != len(caps):
+            raise ValueError(f"condition caps must be distinct, got {list(caps)}")
         if self.n_test < 1:
             raise ValueError(f"n_test must be >= 1, got {self.n_test}")
         if self.objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
@@ -248,8 +255,11 @@ def select_L(
     :meth:`SubspaceLadder.forecasts`.  The scan runs over ``L`` in order, so
     exact objective ties resolve toward the smaller subspace.  Raises
     :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
-    condition number) when no size satisfies the cap.
+    condition number) when no size satisfies the cap, and ``ValueError`` when
+    the cap is not finite.
     """
+    if not math.isfinite(cap):
+        raise ValueError(f"condition cap must be finite, got {cap}")
     if objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
         raise ValueError(f"unknown objective {objective!r}")
     if objective == OBJECTIVE_VALIDATION and (val_y is None or val_z is None):
@@ -299,15 +309,16 @@ def _evaluate_method(
     actual_prices = (z_test + mean_tail) * scales
     emp_price = metrics.empirical_mse(pred_prices, actual_prices)
     directional = metrics.directional_statistic(pred_prices, actual_prices, test.scales)
+    theoretical = metrics.theoretical_mse(model, est)
     try:
-        bias_sq, variance = metrics.bias_decomposition(model, est)
+        bias_sq = metrics.squared_bias(model, est)
     except IllConditionedError:
-        bias_sq, variance = float("nan"), float("nan")
+        bias_sq = float("nan")
     return MethodResult(
         method=est.method,
-        theoretical_mse=metrics.theoretical_mse(model, est),
+        theoretical_mse=theoretical,
         bias_sq=bias_sq,
-        variance=variance,
+        variance=theoretical - bias_sq,
         empirical_mse=emp.total,
         empirical_mse_per_day=emp.per_day,
         empirical_mse_price=emp_price.total,
@@ -361,7 +372,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
             gb = fit_gauss_bayes(model)
         except IllConditionedError as exc:
             gb_error = str(exc)
-            cond_yy = condition_number(model.sigma_yy)
+            cond_yy = spectral_condition(model.sigma_yy)
         else:
             cond_yy = gb.cond  # the same spectral_condition(sigma_yy)
             gb_result = _evaluate_method(model, gb, test)

@@ -48,7 +48,7 @@ from .estimators import (
     fit_unconditional,
     predict,
 )
-from .metrics import bias_decomposition, theoretical_mse, volatility
+from .metrics import squared_bias, theoretical_mse, volatility
 from .synthetic_oracle import (
     GaussianSpec,
     geometric_spectrum,
@@ -174,7 +174,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             if not 1 <= args.l_override <= model.m:
                 raise ValueError(
                     f"--l must be in [1, {model.m}] for M={m} "
-                    f"(day {config.Q} is the normalization column)"
+                    f"(day {m} is the normalization column)"
                 )
             best_l = args.l_override
         else:
@@ -182,8 +182,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         est = ladder.fit(best_l)
 
     tail = series.prices[-m:]
-    scale = float(tail[config.Q - 1])
-    y_centered = np.delete(tail / scale, config.Q - 1) - data.mean[: model.m]
+    scale = float(tail[-1])  # the day-M price
+    y_centered = tail[:-1] / scale - data.mean[: model.m]
     zhat = predict(est, y_centered)
     prices = denormalize_forecast(zhat, data.mean, scale)
     stds = volatility(est, scale=scale)
@@ -283,7 +283,7 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
     biased.update({f"rd[L={l}]": rd[l] for l in l_grid if l != m})
     biased["gb-conditional"] = gb
     for (name, est), b in zip(biased.items(), mc_bias(spec, list(biased.values()), m, n)):
-        target = bias_decomposition(model, est)[0]  # unc: trace(sigma_zz)
+        target = squared_bias(model, est)  # unc: trace(sigma_zz)
         check(f"bias/{name}", b.value, target, "5% rel + 3 se", 0.05 * target + 3 * b.se)
 
     # optimality ordering on common draws, pairwise differences

@@ -13,33 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import spectral_condition, symmetrize
+from ._linalg import symmetrize
 from .data_pipeline import DataMatrix
 from .errors import DomainError, InsufficientDataError
 
 __all__ = [
     "CovarianceModel",
     "empirical_covariance",
-    "condition_number",
     "dump_covariance_csv",
 ]
 
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Symmetric PSD covariance with a y/z block split and its eigenpairs.
+    """Symmetric PSD covariance with a y/z block split and its eigenvectors.
 
-    ``eigenvalues`` are sorted descending and clamped at zero; ``V`` holds the
-    matching orthonormal eigenvectors as columns.
+    ``V`` holds the orthonormal eigenvectors as columns, ordered by
+    descending eigenvalue.
     """
 
     sigma_xx: np.ndarray
     m: int
-    eigenvalues: np.ndarray
     V: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma_xx", "eigenvalues", "V"):
+        for name in ("sigma_xx", "V"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -49,8 +47,7 @@ class CovarianceModel:
         """Build a model from an explicit covariance matrix.
 
         The matrix must be square, symmetric to 1e-12 relative, and positive
-        semidefinite up to round-off (eigenvalues above ``-1e-10 * s_max``);
-        tiny negative eigenvalues are clamped to zero.
+        semidefinite up to round-off (eigenvalues above ``-1e-10 * s_max``).
         """
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -67,12 +64,7 @@ class CovarianceModel:
         if float(s.min()) < -1e-10 * max(smax, 1e-300):
             raise DomainError("covariance is not positive semidefinite within tolerance")
         order = np.argsort(-s, kind="stable")
-        return cls(
-            sigma_xx=sigma,
-            m=m,
-            eigenvalues=np.clip(s[order], 0.0, None),
-            V=vecs[:, order],
-        )
+        return cls(sigma_xx=sigma, m=m, V=vecs[:, order])
 
     @property
     def dim(self) -> int:
@@ -108,16 +100,6 @@ def empirical_covariance(train: DataMatrix) -> CovarianceModel:
         raise InsufficientDataError(f"covariance needs at least 2 training rows, got {k}")
     sigma = train.X.T @ train.X / (k - 1)
     return CovarianceModel.from_matrix(symmetrize(sigma), train.split_m)
-
-
-def condition_number(a: np.ndarray) -> float:
-    """Spectral condition number; ``inf`` once s_min falls to 1e-15 of s_max."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"condition number needs a square matrix, got {a.shape}")
-    if a.size == 0:
-        raise ValueError("condition number of an empty matrix is undefined")
-    return spectral_condition(a)
 
 
 def dump_covariance_csv(model: CovarianceModel, path: str) -> None:

@@ -2,15 +2,15 @@
 
 A daily price series is cut into ``K`` overlapping windows of ``N``
 consecutive closes, stacked as a Hankel matrix (one-day shift between rows).
-Each window is divided by its own day-``Q`` price, the per-column mean of the
-resulting ratio matrix is subtracted, and the day-``Q`` column (identically 1
-after scaling, identically 0 after centering) is dropped.  The stored scales
-and column means invert the transform, so forecasts made in the centered
-ratio domain can be reported in price units.
+Each window is divided by its own day-``M`` price (its newest observed
+close), the per-column mean of the resulting ratio matrix is subtracted, and
+the day-``M`` column (identically 1 after scaling, identically 0 after
+centering) is dropped.  The stored scales and column means invert the
+transform, so forecasts made in the centered ratio domain can be reported in
+price units.
 
-Windows split into an observation block (the first ``M`` days) and a future
-block (the remaining ``N - M`` days); with the default ``Q = M`` the dropped
-column sits at the right edge of the observation block.
+Windows split into an observation block (days ``1 .. M - 1``; day ``M`` is
+the dropped column) and a future block (the remaining ``N - M`` days).
 """
 
 from __future__ import annotations
@@ -64,21 +64,15 @@ class PriceSeries:
 class WindowConfig:
     """Window geometry: observe ``M`` days, forecast the next ``N - M``.
 
-    ``Q`` is the day whose price scales the window; it defaults to ``M``
-    (the most recent observed day).
+    The day-``M`` price (the most recent observed day) scales the window.
     """
 
     N: int
     M: int
-    Q: int | None = None
 
     def __post_init__(self):
-        if self.Q is None:
-            object.__setattr__(self, "Q", self.M)
         if not 1 <= self.M < self.N:
             raise ValueError(f"need 1 <= M < N, got M={self.M}, N={self.N}")
-        if not 1 <= self.Q <= self.N:
-            raise ValueError(f"need 1 <= Q <= N, got Q={self.Q}, N={self.N}")
 
     @property
     def horizon(self) -> int:
@@ -89,16 +83,15 @@ class WindowConfig:
 class DataMatrix:
     """Centered price-ratio windows plus everything needed to invert them.
 
-    ``X`` holds one window per row with the day-``Q`` column removed; ``mean``
+    ``X`` holds one window per row with the day-``M`` column removed; ``mean``
     is the column-mean vector that was subtracted (same column layout as
-    ``X``); ``scales[i]`` is the day-``Q`` price that divided row ``i``.
+    ``X``); ``scales[i]`` is the day-``M`` price that divided row ``i``.
     """
 
     X: np.ndarray
     mean: np.ndarray
     scales: np.ndarray
     config: WindowConfig
-    dropped_col: int
 
     def __post_init__(self):
         for name in ("X", "mean", "scales"):
@@ -123,12 +116,7 @@ class DataMatrix:
     @property
     def split_m(self) -> int:
         """Number of observation columns to the left of the future block."""
-        cfg = self.config
-        return cfg.M - 1 if cfg.Q <= cfg.M else cfg.M
-
-    @property
-    def horizon_cols(self) -> int:
-        return self.dim - self.split_m
+        return self.config.M - 1
 
     @property
     def y_block(self) -> np.ndarray:
@@ -139,8 +127,8 @@ class DataMatrix:
         return self.X[:, self.split_m :]
 
 
-def load_csv(path: str, ticker: str | None = None) -> PriceSeries:
-    """Read a ``date,close`` CSV into a :class:`PriceSeries`.
+def load_csv(path: str) -> PriceSeries:
+    """Read a ``date,close`` CSV into a :class:`PriceSeries` labelled by ``path``.
 
     Parameters
     ----------
@@ -148,8 +136,6 @@ def load_csv(path: str, ticker: str | None = None) -> PriceSeries:
         CSV file with one ``YYYY-MM-DD,price`` pair per line.  A single
         ``date,close`` header line is permitted.  Rows may appear in any
         order; the result is sorted by date.
-    ticker:
-        Label attached to the series; defaults to the file name.
 
     Raises
     ------
@@ -189,10 +175,8 @@ def load_csv(path: str, ticker: str | None = None) -> PriceSeries:
     for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]):
         if d1 == d2:
             raise DomainError(f"{path}: duplicate date {d1} (lines {l1} and {l2})")
-    if ticker is None:
-        ticker = str(path)
     return PriceSeries(
-        ticker=ticker,
+        ticker=str(path),
         dates=tuple(r[0] for r in rows),
         prices=np.array([r[1] for r in rows], dtype=float),
     )
@@ -217,7 +201,7 @@ def build_hankel(series: PriceSeries, N: int, K: int) -> np.ndarray:
 
 
 def normalize_and_center(raw: np.ndarray, config: WindowConfig) -> DataMatrix:
-    """Scale each window by its day-``Q`` price, remove column means, drop column ``Q``.
+    """Scale each window by its day-``M`` price, remove column means, drop column ``M``.
 
     Parameters
     ----------
@@ -237,7 +221,7 @@ def normalize_and_center(raw: np.ndarray, config: WindowConfig) -> DataMatrix:
         raise ValueError(f"raw windows must be (K, {config.N}), got {raw.shape}")
     if raw.shape[0] < 1:
         raise ValueError("need at least one window")
-    q = config.Q - 1
+    q = config.M - 1
     scales = raw[:, q].copy()
     if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
         raise DomainError("window prices must be finite and strictly positive")
@@ -249,7 +233,6 @@ def normalize_and_center(raw: np.ndarray, config: WindowConfig) -> DataMatrix:
         mean=np.delete(mean_full, q),
         scales=scales,
         config=config,
-        dropped_col=q,
     )
 
 
@@ -265,7 +248,7 @@ def split_train_test(data: DataMatrix, n_test: int) -> tuple[DataMatrix, DataMat
     normalized = data.X + data.mean
     n_train = k - n_test
     train_mean = normalized[:n_train].mean(axis=0)
-    shared = dict(mean=train_mean, config=data.config, dropped_col=data.dropped_col)
+    shared = dict(mean=train_mean, config=data.config)
     train = DataMatrix(
         X=normalized[:n_train] - train_mean, scales=data.scales[:n_train], **shared
     )

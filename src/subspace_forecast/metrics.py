@@ -14,7 +14,7 @@ __all__ = [
     "EmpiricalMse",
     "DirectionalReport",
     "theoretical_mse",
-    "bias_decomposition",
+    "squared_bias",
     "empirical_mse",
     "directional_statistic",
     "volatility",
@@ -68,29 +68,27 @@ def theoretical_mse(model: CovarianceModel, est: Estimator) -> float:
     raise ValueError(f"unknown method {est.method!r}")
 
 
-def bias_decomposition(model: CovarianceModel, est: Estimator) -> tuple[float, float]:
-    """Split the closed-form MSE into squared bias and variance.
+def squared_bias(model: CovarianceModel, est: Estimator) -> float:
+    """Closed-form squared bias of the estimator under the model.
 
     Bias is conditional on the future block: the squared bias is
     ``E || E[zhat | z] - z ||^2``, which ``synthetic_oracle.mc_bias``
     measures.  For a linear forecast ``zhat = C y`` it is
     trace((I - C R) sigma_zz (I - C R)')
     with ``R`` the reverse conditional-mean map of the observation given the
-    future block; the variance, trace(C sigma_{y|z} C'), is the closed-form
-    MSE minus the squared bias.  One form serves gb and rd alike; the
-    unconditional mean (``C = 0``) is all bias, trace(sigma_zz), with zero
-    variance.
+    future block; the variance, trace(C sigma_{y|z} C'), is
+    :func:`theoretical_mse` minus the squared bias.  One form serves gb and
+    rd alike; the unconditional mean (``C = 0``) is all bias,
+    trace(sigma_zz), with zero variance.
     """
     _check_split(model, est)
-    total = theoretical_mse(model, est)
     if est.method == METHOD_UNC:
-        return total, 0.0
+        return float(np.trace(model.sigma_zz))
     if est.method not in (METHOD_GB, METHOD_RD):
         raise ValueError(f"unknown method {est.method!r}")
     r = solve_sym(model.sigma_zz, model.sigma_zy, "sigma_zz").T
     icr = np.eye(model.horizon) - est.coeff @ r
-    bias_sq = float(np.einsum("ij,ij->", icr @ model.sigma_zz, icr))
-    return bias_sq, total - bias_sq
+    return float(np.einsum("ij,ij->", icr @ model.sigma_zz, icr))
 
 
 def empirical_mse(predictions: np.ndarray, actuals: np.ndarray) -> EmpiricalMse:
@@ -134,7 +132,7 @@ def volatility(est: Estimator, scale: float | None = None) -> np.ndarray:
     """Per-day forecast standard deviation from the posterior covariance.
 
     Diagonal entries are clamped at zero before the square root; ``scale``
-    (a window's day-Q price) converts to price units.
+    (a window's day-M price) converts to price units.
     """
     std = np.sqrt(np.clip(np.diag(est.posterior_cov), 0.0, None))
     if scale is not None:

@@ -42,14 +42,16 @@ __all__ = [
     "smooth_prices",
 ]
 
+# Observations replicated per future-block stratum in :func:`mc_bias`.
+MC_BIAS_REPLICATES = 100
+
 
 @dataclass(frozen=True)
 class GaussianSpec:
-    """A ground-truth Gaussian law: mean, covariance, and a sampling seed."""
+    """A ground-truth zero-mean Gaussian law: covariance and a sampling seed."""
 
     dim: int
     true_cov: np.ndarray
-    true_mean: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -63,17 +65,8 @@ class GaussianSpec:
         eigs = np.linalg.eigvalsh(cov)
         if float(eigs.min()) < -1e-10 * max(float(eigs.max()), 1e-300):
             raise DomainError("true_cov must be positive semidefinite")
-        mean = (
-            np.zeros(self.dim)
-            if self.true_mean is None
-            else np.asarray(self.true_mean, dtype=float)
-        )
-        if mean.shape != (self.dim,):
-            raise ValueError(f"true_mean must have shape ({self.dim},), got {mean.shape}")
         cov.flags.writeable = False
-        mean.flags.writeable = False
         object.__setattr__(self, "true_cov", cov)
-        object.__setattr__(self, "true_mean", mean)
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,7 @@ def sample(spec: GaussianSpec, n: int) -> np.ndarray:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(spec.seed)
     factor = _sqrt_factor(spec.true_cov)
-    return spec.true_mean + rng.standard_normal((n, spec.dim)) @ factor
+    return rng.standard_normal((n, spec.dim)) @ factor
 
 
 def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> None:
@@ -119,8 +112,8 @@ def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> 
 def mc_squared_errors(
     spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
 ) -> list[np.ndarray]:
-    """Squared forecast error ``||z_c - C y_c||^2`` of each estimator on each
-    of ``n`` fresh draws.
+    """Squared forecast error ``||z - C y||^2`` of each estimator on each of
+    ``n`` fresh draws.
 
     One :func:`sample` serves every estimator (common random numbers), so the
     errors of a list equal those of one-element calls bit for bit, and
@@ -128,11 +121,10 @@ def mc_squared_errors(
     """
     _check_shapes(spec, ests, split)
     x = sample(spec, n)
-    y_c = x[:, :split] - spec.true_mean[:split]
-    z_c = x[:, split:] - spec.true_mean[split:]
+    y, z = x[:, :split], x[:, split:]
     out = []
     for est in ests:
-        err = z_c - y_c @ est.coeff.T
+        err = z - y @ est.coeff.T
         out.append(np.einsum("ij,ij->i", err, err))
     return out
 
@@ -150,17 +142,18 @@ def mc_mse(
 
 
 def mc_bias(
-    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int, n_y: int = 100
+    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
 ) -> list[McEstimate]:
     """Empirical squared conditional bias of each estimator, stratified on the
     future block.
 
-    For each of ``n // n_y`` draws of the future block z, ``n_y`` observation
-    vectors are replicated from the reverse conditional law (mean ``R (z -
-    mean_z)``), the forecasts are averaged to estimate the conditional mean,
-    and its squared distance to z is recorded.  The replication noise that
-    inflates that distance is estimated from the within-stratum scatter and
-    subtracted, so the estimator is unbiased for ``E || E[zhat | z] - z ||^2``.
+    For each of ``n // MC_BIAS_REPLICATES`` draws of the future block z,
+    ``MC_BIAS_REPLICATES`` observation vectors are replicated from the
+    reverse conditional law (mean ``R z``), the forecasts are averaged to
+    estimate the conditional mean, and its squared distance to z is recorded.
+    The replication noise that inflates that distance is estimated from the
+    within-stratum scatter and subtracted, so the estimator is unbiased for
+    ``E || E[zhat | z] - z ||^2``.
 
     The strata and their replicates are drawn once and scored for every
     estimator (common random numbers): the estimates of a list equal those of
@@ -169,24 +162,24 @@ def mc_bias(
     _check_shapes(spec, ests, split)
     cov = spec.true_cov
     syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
-    n_rep = max(2, min(n_y, n))
+    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
     n_z = max(1, n // n_rep)
-    # reverse conditional: y | z is Gaussian with mean R (z - mean_z) + mean_y
+    # reverse conditional: y | z is Gaussian with mean R z
     r = solve_sym(szz, szy, "sigma_zz").T
     cond_cov = symmetrize(syy - r @ szy)
     y_factor = _sqrt_factor(cond_cov)
     z_factor = _sqrt_factor(szz)
     rng = np.random.default_rng(spec.seed)
-    z_c = rng.standard_normal((n_z, spec.dim - split)) @ z_factor
+    z = rng.standard_normal((n_z, spec.dim - split)) @ z_factor
     eps = rng.standard_normal((n_z, n_rep, split)) @ y_factor
-    y = (z_c @ r.T)[:, None, :] + eps
+    y = (z @ r.T)[:, None, :] + eps
     out = []
     for est in ests:
         zhat = y @ est.coeff.T
         m_k = zhat.mean(axis=1)
         resid = zhat - m_k[:, None, :]
         noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
-        b_k = np.einsum("ki,ki->k", m_k - z_c, m_k - z_c) - noise / n_rep
+        b_k = np.einsum("ki,ki->k", m_k - z, m_k - z) - noise / n_rep
         se = float(b_k.std(ddof=1) / math.sqrt(n_z)) if n_z > 1 else float("inf")
         out.append(McEstimate(value=float(b_k.mean()), se=se, n=n_z * n_rep))
     return out

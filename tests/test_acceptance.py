@@ -5,7 +5,7 @@ Each test evaluates every clause of its criterion, records a single
 asserts.  Tolerances are pinned here and nowhere else.
 
 Criterion 2 measures the squared bias conditional on the future block,
-``E || E[zhat | z] - z ||^2``, for every forecaster.  ``bias_decomposition``
+``E || E[zhat | z] - z ||^2``, for every forecaster.  ``squared_bias``
 gives all three methods that one closed form, so the conditional mean is
 held to the same 5% bound as the unconditional and reduced-dimension
 forecasters; its figure equals the reduced-dimension one at ``L = m``.
@@ -32,7 +32,6 @@ from subspace_forecast import (
     SubspaceLadder,
     SweepConfig,
     WindowConfig,
-    bias_decomposition,
     build_hankel,
     build_l_curve,
     denormalize_forecast,
@@ -45,6 +44,7 @@ from subspace_forecast import (
     normalize_and_center,
     random_covariance,
     run_backtest,
+    squared_bias,
     theoretical_mse,
 )
 
@@ -103,11 +103,11 @@ def test_criterion_02_bias_agreement(pinned_model, pinned_spec):
     rel_unc = abs(mc_unc.value / target_unc - 1.0)
     clauses.append(("unc", rel_unc <= 0.05, f"rel err {rel_unc:.4%} <= 5%"))
 
-    target_rd, _ = bias_decomposition(pinned_model, rd)
+    target_rd = squared_bias(pinned_model, rd)
     rel_rd = abs(mc_rd.value / target_rd - 1.0)
     clauses.append(("rd[L=10]", rel_rd <= 0.05, f"rel err {rel_rd:.4%} <= 5%"))
 
-    target_gb, _ = bias_decomposition(pinned_model, gb)
+    target_gb = squared_bias(pinned_model, gb)
     rel_gb = abs(mc_gb.value / target_gb - 1.0)
     clauses.append(("gb", rel_gb <= 0.05, f"rel err {rel_gb:.4%} <= 5%"))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from subspace_forecast import (
+    OBJECTIVE_THEORETICAL,
     OBJECTIVE_VALIDATION,
     BacktestReport,
     CovarianceModel,
@@ -15,7 +16,6 @@ from subspace_forecast import (
     WindowConfig,
     build_hankel,
     build_l_curve,
-    condition_number,
     emit_report,
     empirical_covariance,
     normalize_and_center,
@@ -24,6 +24,7 @@ from subspace_forecast import (
     select_L,
     split_train_test,
 )
+from subspace_forecast._linalg import spectral_condition
 
 from conftest import gbm_prices, smooth_prices, to_series
 
@@ -45,6 +46,13 @@ def test_sweep_config_validation():
         SweepConfig(m_values=(20,), horizon=0)
     with pytest.raises(ValueError):
         SweepConfig(m_values=(20,), condition_caps=(0.5,))
+    for cap in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            SweepConfig(m_values=(20,), condition_caps=(1e3, cap))
+    with pytest.raises(ValueError, match="observation lengths must be distinct"):
+        SweepConfig(m_values=(20, 50, 20))
+    with pytest.raises(ValueError, match="caps must be distinct"):
+        SweepConfig(m_values=(20,), condition_caps=(1e3, 1000.0))
     with pytest.raises(ValueError):
         SweepConfig(m_values=(20,), n_test=0)
     with pytest.raises(ValueError):
@@ -79,6 +87,22 @@ def test_select_l_infeasible_cap_reports_floor():
     with pytest.raises(NoFeasibleSubspaceError) as exc_info:
         select_L(SubspaceLadder(model), 0.5)
     assert exc_info.value.min_condition_number == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("objective", [OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION])
+def test_select_l_rejects_a_non_finite_cap(objective):
+    # the eigenvalue-3 eigenvector lies in the future block, so the ladder's
+    # rank is 1 below m = 2: size 2 has cond_ww = inf, and an infinite cap
+    # would otherwise admit a size that cannot be fitted
+    ladder = SubspaceLadder(CovarianceModel.from_matrix(np.diag([1.0, 4.0, 3.0, 2.0]), m=2))
+    assert ladder.rank == 1
+    val_y, val_z = np.ones((5, 2)), np.ones((5, 2))
+    for cap in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            select_L(ladder, cap, objective, val_y=val_y, val_z=val_z)
+    curve = build_l_curve(ladder)
+    with pytest.raises(ValueError, match="finite"):
+        select_L(ladder, float("inf"), curve=curve)
 
 
 def test_select_l_breaks_ties_toward_smaller_subspace():
@@ -183,7 +207,7 @@ def test_cell_cond_yy_is_the_observation_block_condition_number():
     report = run_backtest(series, SweepConfig(m_values=(20,), condition_caps=(1e4,), n_test=200))
     data = normalize_and_center(build_hankel(series, 30, 871), WindowConfig(N=30, M=20))
     model = empirical_covariance(split_train_test(data, 200)[0])
-    assert report.cells[0].cond_yy == condition_number(model.sigma_yy)
+    assert report.cells[0].cond_yy == spectral_condition(model.sigma_yy)
 
 
 def test_backtest_single_test_row_completes():

@@ -99,6 +99,23 @@ def test_forecast_l_out_of_range_is_usage_error(price_csv):
     assert "--l must be in [1, 29]" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("forecast", "--m", "30", "--cap", "inf"),
+    ("forecast", "--m", "30", "--cap", "nan"),
+    ("sweep", "--m-list", "20", "--caps", "1e3", "inf"),
+    ("sweep", "--m-list", "20", "--caps", "nan"),
+    ("sweep", "--m-list", "20", "30", "20", "--caps", "1e3"),
+    ("sweep", "--m-list", "20", "--caps", "1e3", "1000"),
+], ids=["forecast-inf", "forecast-nan", "sweep-inf", "sweep-nan", "repeated-m", "repeated-cap"])
+def test_non_finite_caps_and_repeated_grid_values_are_usage_errors(price_csv, tmp_path, args):
+    out = tmp_path / "report"
+    extra = ("--n-test", "100", "--out", str(out)) if args[0] == "sweep" else ()
+    proc = run_cli(args[0], "--csv", price_csv, *args[1:], *extra)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("error: ")
+    assert not out.exists()  # a rejected grid writes no report
+
+
 def test_missing_file_is_a_data_error(tmp_path):
     proc = run_cli("forecast", "--csv", str(tmp_path / "nope.csv"), "--m", "30")
     assert proc.returncode == 2

@@ -1,4 +1,5 @@
-"""Empirical covariance fitting, eigenstructure, and block views."""
+"""Empirical covariance fitting, eigenstructure, block views, and the
+spectral condition number that ``cond_yy`` reports."""
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from subspace_forecast import (
     InsufficientDataError,
     WindowConfig,
     build_hankel,
-    condition_number,
     dump_covariance_csv,
     empirical_covariance,
     normalize_and_center,
 )
+from subspace_forecast._linalg import spectral_condition
 
 from conftest import gbm_prices, to_series
 
@@ -43,7 +44,6 @@ def test_empirical_covariance_two_sample_arithmetic():
         mean=np.zeros(2),
         scales=np.ones(2),
         config=template.config,
-        dropped_col=template.dropped_col,
     )
     model = empirical_covariance(data)
     assert_allclose(model.sigma_xx, [[2.0, 0.0], [0.0, 0.0]], atol=0)
@@ -57,7 +57,6 @@ def test_empirical_covariance_needs_two_rows():
         mean=data.mean,
         scales=data.scales[:1],
         config=data.config,
-        dropped_col=data.dropped_col,
     )
     with pytest.raises(InsufficientDataError):
         empirical_covariance(single)
@@ -81,10 +80,11 @@ def test_eigen_decomposition_descending_and_orthonormal():
     a = rng.standard_normal((12, 12))
     cov = a @ a.T
     model = CovarianceModel.from_matrix(cov, m=8)
-    s, v = model.eigenvalues, model.V
-    assert np.all(np.diff(s) <= 1e-12)          # sorted high to low
-    assert np.all(s >= 0)                        # clamped
+    v = model.V
     assert_allclose(v.T @ v, np.eye(12), atol=1e-10)
+    s = np.diag(v.T @ cov @ v)  # Rayleigh quotients: the eigenvalues
+    assert np.all(np.diff(s) <= 1e-12)  # sorted high to low
+    assert_allclose(s, np.linalg.eigvalsh(cov)[::-1], rtol=1e-9, atol=1e-9)
     assert_allclose(v @ np.diag(s) @ v.T, cov, rtol=1e-9, atol=1e-9)
 
 
@@ -92,17 +92,6 @@ def test_identity_covariance_keeps_identity_eigenvectors():
     # the stable sort must not permute the basis when all eigenvalues tie
     model = CovarianceModel.from_matrix(np.eye(5), m=3)
     assert_allclose(model.V, np.eye(5))
-    assert_allclose(model.eigenvalues, np.ones(5))
-
-
-def test_tiny_negative_eigenvalues_are_clamped():
-    # a PSD matrix whose numerical eigenvalues dip barely below zero
-    v = np.ones((4, 1)) / 2.0
-    cov = v @ v.T  # rank one
-    model = CovarianceModel.from_matrix(cov, m=2)
-    assert np.all(model.eigenvalues >= 0)
-    assert_allclose(model.eigenvalues[0], 1.0, rtol=1e-12)
-    assert_allclose(model.eigenvalues[1:], 0.0, atol=1e-14)
 
 
 def test_block_views():
@@ -121,11 +110,9 @@ def test_block_views():
 
 
 def test_condition_number_known_values():
-    assert condition_number(np.eye(4)) == pytest.approx(1.0)
-    assert condition_number(np.diag([100.0, 4.0, 1.0])) == pytest.approx(100.0)
-    assert condition_number(np.ones((3, 3))) == np.inf  # rank deficient
-    with pytest.raises(ValueError):
-        condition_number(np.ones((2, 3)))
+    assert spectral_condition(np.eye(4)) == pytest.approx(1.0)
+    assert spectral_condition(np.diag([100.0, 4.0, 1.0])) == pytest.approx(100.0)
+    assert spectral_condition(np.ones((3, 3))) == np.inf  # rank deficient
 
 
 def test_covariance_csv_round_trip(tmp_path):

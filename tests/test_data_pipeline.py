@@ -33,12 +33,12 @@ def test_load_csv_happy_path(tmp_path):
     assert series.ticker == path  # defaults to the file name
 
 
-def test_load_csv_explicit_ticker_and_no_header(tmp_path):
+def test_load_csv_without_header(tmp_path):
     p = tmp_path / "raw.csv"
     p.write_text("2001-01-02,10.0\n2001-01-03,11.0\n")
-    series = load_csv(str(p), ticker="ACME")
-    assert series.ticker == "ACME"
-    assert len(series) == 2
+    series = load_csv(str(p))
+    assert_allclose(series.prices, [10.0, 11.0])
+    assert series.dates == ("2001-01-02", "2001-01-03")
 
 
 def test_load_csv_sorts_rows_by_date(tmp_path):
@@ -128,15 +128,12 @@ def test_price_series_is_immutable():
 
 def test_window_config_defaults_and_horizon():
     cfg = WindowConfig(N=30, M=20)
-    assert cfg.Q == 20
     assert cfg.horizon == 10
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(N=10, M=10),          # M must be < N
     dict(N=10, M=0),
-    dict(N=10, M=5, Q=0),
-    dict(N=10, M=5, Q=11),
 ])
 def test_window_config_rejects_bad_geometry(kwargs):
     with pytest.raises(ValueError):
@@ -190,32 +187,30 @@ def test_hankel_anti_diagonal_property(n_prices, n_cols, seed):
 # --------------------------------------------------- normalize_and_center
 
 def test_normalize_drops_day_q_column_and_centers():
-    cfg = WindowConfig(N=4, M=3)  # Q defaults to 3, i.e. column index 2
+    cfg = WindowConfig(N=4, M=3)  # day 3, column index 2, scales and is dropped
     raw = np.array([[1.0, 2.0, 4.0, 8.0],
                     [2.0, 4.0, 8.0, 16.0],
                     [1.0, 3.0, 2.0, 4.0]])
     data = normalize_and_center(raw, cfg)
     assert data.X.shape == (3, 3)
-    assert data.dropped_col == 2
     assert_allclose(data.scales, [4.0, 8.0, 2.0])
     assert_allclose(data.X.mean(axis=0), 0.0, atol=1e-15)
-    # first column of X is price/day-Q-price, centered
-    ratios = raw[:, 0] / raw[:, 2]
-    assert_allclose(data.X[:, 0], ratios - ratios.mean())
+    # columns of X are price/day-M-price, centered, with day M left out
+    ratios = raw / raw[:, 2:3]
+    assert_allclose(data.X, np.delete(ratios - ratios.mean(axis=0), 2, axis=1))
 
 
 def test_normalize_single_window_arithmetic():
     # One row: the row mean IS the column mean, so X is exactly zero and
     # the stored mean holds the scaled ratios of the retained columns.
     data = normalize_and_center(np.array([[2.0, 4.0, 8.0]]), WindowConfig(N=3, M=2))
-    assert data.dropped_col == 1
     assert_allclose(data.scales, [4.0])
     assert_allclose(data.mean, [0.5, 2.0])
     assert_allclose(data.X, [[0.0, 0.0]])
 
 
 def test_normalize_two_window_arithmetic():
-    cfg = WindowConfig(N=2, M=1)  # Q defaults to 1: the first column is dropped
+    cfg = WindowConfig(N=2, M=1)  # M = 1: the first column scales and is dropped
     proportional = normalize_and_center(np.array([[1.0, 2.0], [3.0, 6.0]]), cfg)
     assert_allclose(proportional.scales, [1.0, 3.0])
     assert_allclose(proportional.mean, [2.0])
@@ -235,23 +230,13 @@ def test_normalize_rejects_bad_shapes_and_values():
 
 
 def test_block_views_split_observation_and_future():
-    cfg = WindowConfig(N=6, M=4)  # Q=4 dropped -> 5 columns, split at M-1=3
+    cfg = WindowConfig(N=6, M=4)  # day 4 dropped -> 5 columns, split at M-1=3
     raw = np.abs(gbm_prices(20, 3))
     data = normalize_and_center(build_hankel(to_series(raw), 6, 15), cfg)
     assert data.split_m == 3
-    assert data.horizon_cols == 2
     assert data.y_block.shape == (15, 3)
     assert data.z_block.shape == (15, 2)
     assert_allclose(np.hstack([data.y_block, data.z_block]), data.X)
-
-
-def test_split_m_when_q_past_observation_block():
-    # scaling by a future day keeps all M observation columns
-    cfg = WindowConfig(N=6, M=4, Q=6)
-    raw = build_hankel(to_series(gbm_prices(20, 3)), 6, 15)
-    data = normalize_and_center(raw, cfg)
-    assert data.split_m == 4
-    assert data.horizon_cols == 1
 
 
 # --------------------------------------------------------- train/test split
@@ -268,9 +253,9 @@ def test_split_recenters_on_train_only():
     # both halves carry the same (train-derived) centering vector
     assert_allclose(train.mean, test.mean)
     # undoing the centering recovers the original ratio rows exactly
-    orig_ratio = raw[-1] / raw[-1, cfg.Q - 1]
+    orig_ratio = raw[-1] / raw[-1, cfg.M - 1]
     assert_allclose(
-        test.X[-1] + test.mean, np.delete(orig_ratio, cfg.Q - 1), rtol=1e-12
+        test.X[-1] + test.mean, np.delete(orig_ratio, cfg.M - 1), rtol=1e-12
     )
 
 

@@ -214,6 +214,13 @@ def test_theoretical_sweep_reads_the_curve_without_refitting(work):
     # the curve fits every size once, then each cap fits its chosen size
     assert [L for _, L in work["fit"]] == [*range(1, ladder.rank + 1), *chosen]
     assert_one_svd_per_size(work)
+    # one closed-form MSE per curve point, then one per scored method: unc
+    # and gb once per M, rd once per cap
+    model = ladder.model
+    assert len(work["mse"]) == ladder.rank + 4
+    assert work["mse"] == [(model, "rd")] * ladder.rank + [
+        (model, "unc"), (model, "gb"), (model, "rd"), (model, "rd")
+    ]
 
 
 def assert_mse_rd_nonincreasing(curve):
