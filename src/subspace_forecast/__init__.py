@@ -20,6 +20,7 @@ from .backtest import (
     emit_report,
     run_backtest,
     select_L,
+    validation_scores,
 )
 from .covariance_model import CovarianceModel, dump_covariance_csv, empirical_covariance
 from .data_pipeline import (

@@ -15,7 +15,6 @@ output.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -57,6 +56,7 @@ __all__ = [
     "CellReport",
     "BacktestReport",
     "build_l_curve",
+    "validation_scores",
     "select_L",
     "run_backtest",
     "emit_report",
@@ -136,7 +136,6 @@ class SubspaceSelection:
     L: int
     cond_ww: float
     objective_value: float
-    min_cond: float
 
 
 @dataclass
@@ -236,62 +235,75 @@ def build_l_curve(ladder: SubspaceLadder) -> list[LCurvePoint]:
     return points
 
 
+def validation_scores(
+    ladder: SubspaceLadder, val_y: np.ndarray, val_z: np.ndarray
+) -> list[float]:
+    """Held-out MSE of every size ``L = 1..rank`` on the validation rows, in
+    one pass over :meth:`SubspaceLadder.forecasts`; no size is refitted."""
+    return [metrics.empirical_mse(pred, val_z).total for pred in ladder.forecasts(val_y)]
+
+
 def select_L(
     ladder: SubspaceLadder,
     cap: float,
     objective: str = OBJECTIVE_THEORETICAL,
     curve: list[LCurvePoint] | None = None,
-    val_y: np.ndarray | None = None,
-    val_z: np.ndarray | None = None,
+    scores: list[float] | None = None,
 ) -> tuple[int, SubspaceSelection]:
     """Smallest-L minimizer of the objective among sizes obeying the cap.
 
-    ``ladder`` is the model's :class:`SubspaceLadder`.  Feasibility comes from
-    ``cond_ww`` of every size ``L = 1..m``, which the ladder computes once per
-    size and keeps for later caps and fits.  Only feasible sizes are scored:
-    the theoretical objective reads their ``mse_rd`` from ``curve`` (the
-    ladder's :func:`build_l_curve`) when given, else fits and scores them,
-    and the validation objective scores them in one pass over
-    :meth:`SubspaceLadder.forecasts`.  The scan runs over ``L`` in order, so
-    exact objective ties resolve toward the smaller subspace.  Raises
-    :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
-    condition number) when no size satisfies the cap, and ``ValueError`` when
-    the cap is not finite.
+    ``ladder`` is the model's :class:`SubspaceLadder`, which computes each
+    size's ``cond_ww`` once and keeps it for later caps and fits.  The
+    theoretical objective learns feasibility from ``cond_ww`` of every size
+    ``L = 1..m`` and scores only the feasible ones: it reads their ``mse_rd``
+    from ``curve`` (the ladder's :func:`build_l_curve`) when given, else fits
+    and scores them.  The validation objective takes ``scores``, the held-out
+    MSE of every size ``1..rank`` (:func:`validation_scores`), and tests
+    feasibility in ``(score, L)`` order, stopping at the first size under the
+    cap: only the sizes that score at least as well as the chosen one have
+    their ``cond_ww`` computed.  Either way exact objective ties resolve
+    toward the smaller subspace.  Raises :class:`NoFeasibleSubspaceError`
+    (carrying the minimum achievable condition number) when no size
+    satisfies the cap, and ``ValueError`` when the cap is not finite.
     """
     if not math.isfinite(cap):
         raise ValueError(f"condition cap must be finite, got {cap}")
     if objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
         raise ValueError(f"unknown objective {objective!r}")
-    if objective == OBJECTIVE_VALIDATION and (val_y is None or val_z is None):
-        raise ValueError("validation objective needs val_y and val_z")
     model = ladder.model
-    conds = [ladder.cond_ww(l_size) for l_size in range(1, model.m + 1)]
-    min_cond = min(conds)
-    feasible = [l_size for l_size, cond in enumerate(conds, start=1) if cond <= cap]
-    if not feasible:
-        raise NoFeasibleSubspaceError(
-            f"no subspace size in [1, {model.m}] keeps cond(sigma_ww) <= {cap:g}; "
-            f"minimum achievable is {min_cond:g}",
-            min_condition_number=min_cond,
-        )
     if objective == OBJECTIVE_VALIDATION:
-        scan = itertools.islice(ladder.forecasts(val_y), feasible[-1])
-        values = {
-            l_size: metrics.empirical_mse(pred, val_z).total
-            for l_size, pred in enumerate(scan, start=1)
-        }
-    elif curve is None:
-        values = {
-            l_size: metrics.theoretical_mse(model, ladder.fit(l_size)) for l_size in feasible
-        }
+        if scores is None:
+            raise ValueError("validation objective needs the validation scores")
+        order = sorted(range(1, len(scores) + 1), key=lambda size: (scores[size - 1], size))
+        for l_size in order:
+            cond = ladder.cond_ww(l_size)
+            if cond <= cap:
+                return l_size, SubspaceSelection(
+                    L=l_size, cond_ww=cond, objective_value=scores[l_size - 1]
+                )
+        raise _no_feasible_subspace(ladder, cap)
+    feasible = [l_size for l_size in range(1, model.m + 1) if ladder.cond_ww(l_size) <= cap]
+    if not feasible:
+        raise _no_feasible_subspace(ladder, cap)
+    if curve is None:
+        values = [metrics.theoretical_mse(model, ladder.fit(l_size)) for l_size in feasible]
     else:
-        values = {l_size: curve[l_size - 1].mse_rd for l_size in feasible}
+        values = [curve[l_size - 1].mse_rd for l_size in feasible]
     best, best_value = None, float("inf")
-    for l_size in feasible:
-        if values[l_size] < best_value:
-            best, best_value = l_size, values[l_size]
-    return best, SubspaceSelection(
-        L=best, cond_ww=conds[best - 1], objective_value=best_value, min_cond=min_cond
+    for l_size, value in zip(feasible, values):
+        if value < best_value:
+            best, best_value = l_size, value
+    return best, SubspaceSelection(L=best, cond_ww=ladder.cond_ww(best), objective_value=best_value)
+
+
+def _no_feasible_subspace(ladder: SubspaceLadder, cap: float) -> NoFeasibleSubspaceError:
+    """The error for a cap no size meets, with the exact minimum ``cond_ww``."""
+    m = ladder.model.m
+    min_cond = min(ladder.cond_ww(l_size) for l_size in range(1, m + 1))
+    return NoFeasibleSubspaceError(
+        f"no subspace size in [1, {m}] keeps cond(sigma_ww) <= {cap:g}; "
+        f"minimum achievable is {min_cond:g}",
+        min_condition_number=min_cond,
     )
 
 
@@ -357,14 +369,15 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         curve = build_l_curve(ladder)
         curves[m_days] = curve
 
-        # the validation objective selects on a sub-train model, whose
-        # ladder gives only its cond_ww profile: no curve, no mse_rd
-        sel_ladder, sel_curve, val_y, val_z = ladder, curve, None, None
+        # the validation objective selects on a sub-train model: its sizes
+        # are scored once per M, and each cap computes cond_ww only for the
+        # sizes it walks past in score order; no curve, no mse_rd
+        sel_ladder, sel_curve, scores = ladder, curve, None
         if sweep.objective == OBJECTIVE_VALIDATION:
             n_val = max(1, train.n_samples // 5)
             sub_train, val = split_train_test(train, n_val)
             sel_ladder, sel_curve = SubspaceLadder(empirical_covariance(sub_train)), None
-            val_y, val_z = val.y_block, val.z_block
+            scores = validation_scores(sel_ladder, val.y_block, val.z_block)
 
         unc_result = _evaluate_method(model, fit_unconditional(model), test)
         gb_result, gb_error = None, None
@@ -381,12 +394,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
             cell = CellReport(M=m_days, cap=cap, cond_yy=cond_yy, gb_error=gb_error)
             try:
                 best_l, _ = select_L(
-                    sel_ladder,
-                    cap,
-                    sweep.objective,
-                    curve=sel_curve,
-                    val_y=val_y,
-                    val_z=val_z,
+                    sel_ladder, cap, sweep.objective, curve=sel_curve, scores=scores
                 )
                 if curve[best_l - 1].cond_ww > cap:
                     # validation pick infeasible on the full-train model

@@ -66,6 +66,9 @@ EXIT_NUMERICAL = 3
 # below this sample count the verify suite reports values without enforcing
 STRICT_N = 10_000
 
+# condition-number cap of forecast's rd subspace search when --cap is not given
+DEFAULT_FORECAST_CAP = 1e4
+
 logger = logging.getLogger("subspace_forecast")
 
 _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
@@ -108,10 +111,11 @@ def build_parser() -> _Parser:
     forecast.add_argument("--h", "--horizon", dest="horizon", type=int, default=10,
                           help="forecast horizon in days")
     forecast.add_argument("--method", choices=METHODS, default=METHOD_RD)
-    forecast.add_argument("--cap", type=float, default=1e4,
-                          help="condition-number cap for the subspace search")
+    forecast.add_argument("--cap", type=float, default=None,
+                          help="condition-number cap for the rd subspace search "
+                               f"(default: {DEFAULT_FORECAST_CAP:g})")
     forecast.add_argument("--l", dest="l_override", type=int, default=None,
-                          help="pin the subspace size instead of searching under --cap")
+                          help="pin the rd subspace size instead of searching under --cap")
     forecast.set_defaults(func=cmd_forecast)
 
     def add_grid_flags(p, with_m_list):
@@ -153,6 +157,8 @@ def build_parser() -> _Parser:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    if args.method != METHOD_RD and (args.l_override is not None or args.cap is not None):
+        raise ValueError(f"--l and --cap apply only to --method {METHOD_RD}")
     series = load_csv(args.csv)
     m, h = args.m, args.horizon
     config = WindowConfig(N=m + h, M=m)
@@ -178,7 +184,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
                 )
             best_l = args.l_override
         else:
-            best_l, _ = select_L(ladder, args.cap)
+            cap = DEFAULT_FORECAST_CAP if args.cap is None else args.cap
+            best_l, _ = select_L(ladder, cap)
         est = ladder.fit(best_l)
 
     tail = series.prices[-m:]
@@ -253,6 +260,8 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
         if not 1 <= m < dim:
             raise ValueError(f"--split must be in [1, {dim - 1}], got {m}")
     else:
+        if split is not None:
+            raise ValueError("--split needs --cov-csv")
         dim, m = 30, 20
         cov = random_covariance(dim, geometric_spectrum(dim, 1e2), seed)
         spec = GaussianSpec(dim=dim, true_cov=cov, seed=seed)

@@ -74,10 +74,6 @@ class WindowConfig:
         if not 1 <= self.M < self.N:
             raise ValueError(f"need 1 <= M < N, got M={self.M}, N={self.N}")
 
-    @property
-    def horizon(self) -> int:
-        return self.N - self.M
-
 
 @dataclass(frozen=True)
 class DataMatrix:

@@ -23,6 +23,7 @@ from subspace_forecast import (
     run_backtest,
     select_L,
     split_train_test,
+    validation_scores,
 )
 from subspace_forecast._linalg import spectral_condition
 
@@ -96,10 +97,10 @@ def test_select_l_rejects_a_non_finite_cap(objective):
     # would otherwise admit a size that cannot be fitted
     ladder = SubspaceLadder(CovarianceModel.from_matrix(np.diag([1.0, 4.0, 3.0, 2.0]), m=2))
     assert ladder.rank == 1
-    val_y, val_z = np.ones((5, 2)), np.ones((5, 2))
+    scores = validation_scores(ladder, np.ones((5, 2)), np.ones((5, 2)))
     for cap in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
-            select_L(ladder, cap, objective, val_y=val_y, val_z=val_z)
+            select_L(ladder, cap, objective, scores=scores)
     curve = build_l_curve(ladder)
     with pytest.raises(ValueError, match="finite"):
         select_L(ladder, float("inf"), curve=curve)

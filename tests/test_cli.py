@@ -99,6 +99,22 @@ def test_forecast_l_out_of_range_is_usage_error(price_csv):
     assert "--l must be in [1, 29]" in proc.stderr
 
 
+@pytest.mark.parametrize("flag", [("--l", "7"), ("--cap", "1e4")], ids=["l", "cap"])
+@pytest.mark.parametrize("method", ["gb", "unc"])
+def test_forecast_rd_only_flags_are_usage_errors_for_other_methods(price_csv, method, flag):
+    proc = run_cli("forecast", "--csv", price_csv, "--m", "30", "--method", method, *flag)
+    assert proc.returncode == 1
+    assert "--l and --cap apply only to --method rd" in proc.stderr
+    assert proc.stdout == ""  # no forecast that ignored the flag
+
+
+def test_forecast_rd_default_cap_is_1e4(price_csv):
+    default = run_cli("forecast", "--csv", price_csv, "--m", "30")
+    explicit = run_cli("forecast", "--csv", price_csv, "--m", "30", "--cap", "1e4")
+    assert default.returncode == explicit.returncode == 0, default.stderr
+    assert default.stdout == explicit.stdout
+
+
 @pytest.mark.parametrize("args", [
     ("forecast", "--m", "30", "--cap", "inf"),
     ("forecast", "--m", "30", "--cap", "nan"),
@@ -230,6 +246,13 @@ def test_verify_with_explicit_covariance(tmp_path):
     proc = run_cli("verify", "--cov-csv", str(path), "--split", "8",
                    "--seed", "3", "--n", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_verify_split_without_a_covariance_csv_is_usage_error():
+    proc = run_cli("verify", "--seed", "1", "--n", "2000", "--split", "5")
+    assert proc.returncode == 1  # the built-in fixture's split is fixed
+    assert "--split needs --cov-csv" in proc.stderr
+    assert "checks" not in proc.stdout
 
 
 def test_log_levels_route_to_stderr(price_csv):

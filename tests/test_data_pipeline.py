@@ -126,9 +126,9 @@ def test_price_series_is_immutable():
 
 # ------------------------------------------------------------ WindowConfig
 
-def test_window_config_defaults_and_horizon():
+def test_window_config_keeps_valid_geometry():
     cfg = WindowConfig(N=30, M=20)
-    assert cfg.horizon == 10
+    assert (cfg.N, cfg.M) == (30, 20)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,11 +1,16 @@
-"""Subspace-size selection scores only the sizes whose value it compares.
+"""Subspace-size selection computes only the values it compares.
 
-``select_L`` learns feasibility from ``cond_ww`` of every size and scores
-only the feasible ones; without a curve the ladder supplies the condition
-profile, one SVD per size, kept for later caps and fits.  These tests hold
-that to the full-curve selection, count the work a forecast and a
-validation sweep do, and check the invariant that makes the theoretical
-objective well posed: ``mse_rd`` does not grow with ``L``.
+Under the theoretical objective ``select_L`` learns feasibility from
+``cond_ww`` of every size and scores only the feasible ones; without a curve
+the ladder supplies the condition profile, one SVD per size, kept for later
+caps and fits.  Under the validation objective every size is scored first
+(one rank-one scan per model) and feasibility is tested in ``(score, L)``
+order, so the SVDs stop at the first size under the cap.  These tests hold
+the theoretical selection to the full-curve one and the validation
+selection to a brute-force reference that never calls ``select_L``, count
+the work a forecast and a validation sweep do, and check the invariant that
+makes the theoretical objective well posed: ``mse_rd`` does not grow with
+``L``.
 """
 
 import functools
@@ -26,11 +31,13 @@ from subspace_forecast import (
     build_l_curve,
     cli,
     empirical_covariance,
+    empirical_mse,
     metrics,
     normalize_and_center,
     run_backtest,
     select_L,
     split_train_test,
+    validation_scores,
 )
 
 from conftest import gbm_prices, smooth_prices, to_series, write_price_csv
@@ -43,15 +50,13 @@ GENERATORS = {"gbm": gbm_prices, "smooth": smooth_prices}
 SWEEP_M = (20, 50, 80, 110, 140, 170, 200)
 
 
-@functools.lru_cache(maxsize=None)
-def sweep_cell(kind, m_days):
+def sweep_split(series, m_days, n_test):
     """The full-train model, the sub-train model and the validation rows of
-    the sweep's ``M = m_days`` cell on ``<kind>_prices(5000, 1000)``."""
-    series = to_series(GENERATORS[kind](5000, 1000))
+    a validation sweep's ``M = m_days`` cell on ``series``."""
     n = m_days + 10
     windows = build_hankel(series, n, len(series) - n + 1)
     data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
-    train = split_train_test(data, 2200)[0]
+    train = split_train_test(data, n_test)[0]
     sub_train, val = split_train_test(train, max(1, train.n_samples // 5))
     return (
         empirical_covariance(train),
@@ -59,6 +64,13 @@ def sweep_cell(kind, m_days):
         val.y_block,
         val.z_block,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_cell(kind, m_days):
+    """:func:`sweep_split` of the sweep's ``M = m_days`` cell on
+    ``<kind>_prices(5000, 1000)``."""
+    return sweep_split(to_series(GENERATORS[kind](5000, 1000)), m_days, 2200)
 
 
 def selection_case(name, request):
@@ -81,8 +93,9 @@ def selection_case(name, request):
 
 
 def outcome(ladder, cap, objective, val_y, val_z, curve=None):
+    scores = validation_scores(ladder, val_y, val_z)
     try:
-        return select_L(ladder, cap, objective, curve=curve, val_y=val_y, val_z=val_z)
+        return select_L(ladder, cap, objective, curve=curve, scores=scores)
     except NoFeasibleSubspaceError as exc:
         return str(exc), exc.min_condition_number
 
@@ -114,6 +127,81 @@ def test_selection_without_a_curve_equals_selection_from_the_full_curve(name, re
 def test_selection_without_a_curve_on_the_full_train_price_model(kind):
     model, _, val_y, val_z = sweep_cell(kind, 80)
     check_selection_without_curve(model, val_y, val_z)
+
+
+def reference_pick(conds, scores, cap):
+    """Validation selection by brute force: the best score over the sizes
+    whose ``cond_ww`` meets the cap, ties to the smaller size; for a cap no
+    size meets, the error message and minimum ``select_L`` must report."""
+    feasible = [L for L, cond in enumerate(conds, start=1) if cond <= cap]
+    if not feasible:
+        min_cond = min(conds)
+        return (
+            f"no subspace size in [1, {len(conds)}] keeps cond(sigma_ww) <= {cap:g}; "
+            f"minimum achievable is {min_cond:g}",
+            min_cond,
+        )
+    return min(feasible, key=lambda L: (scores[L], L))
+
+
+def check_validation_against_reference(model, val_y, val_z):
+    """``select_L`` against :func:`reference_pick` on every distinct cap, the
+    reference built from a separate ladder's ``cond_ww`` of every size and
+    the held-out MSE of each feasible size's own fit (not the rank-one scan).
+    """
+    reference = SubspaceLadder(model)
+    conds = [reference.cond_ww(L) for L in range(1, model.m + 1)]
+    scores = {
+        L: empirical_mse(val_y @ reference.fit(L).coeff.T, val_z).total
+        for L, cond in enumerate(conds, start=1)
+        if np.isfinite(cond)
+    }
+    ladder = SubspaceLadder(model)  # one ladder serves every cap
+    ladder_scores = validation_scores(ladder, val_y, val_z)
+    for cap in sorted({c for c in conds if np.isfinite(c)} | {0.5, 1e3, 1e4}):
+        want = reference_pick(conds, scores, cap)
+        try:
+            got, sel = select_L(ladder, cap, OBJECTIVE_VALIDATION, scores=ladder_scores)
+        except NoFeasibleSubspaceError as exc:
+            assert (str(exc), exc.min_condition_number) == want, cap
+            continue
+        # the scan and a refit agree to rounding; sizes whose scores differ
+        # by no more than that are the same pick
+        assert got == want or abs(scores[got] - scores[want]) <= 1e-12 * scores[want], cap
+        assert sel.cond_ww == conds[got - 1] <= cap
+
+
+@given(seed=seeds, dim=st.integers(3, 16), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_validation_selection_matches_a_brute_force_reference(seed, dim, data):
+    m = data.draw(st.integers(1, dim - 1))
+    val_y, val_z = validation_rows(random_model(dim, m, seed + 1), 40, seed)
+    check_validation_against_reference(random_model(dim, m, seed), val_y, val_z)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dyadic:0", "dyadic:1", "dyadic:4", "pinned",
+     *(f"{kind}:{m}" for kind in sorted(GENERATORS) for m in (20, 80, 140))],
+)
+def test_validation_selection_matches_a_brute_force_reference_on_fixtures(name, request):
+    check_validation_against_reference(*selection_case(name, request))
+
+
+def test_validation_tie_with_an_infeasible_smaller_size_picks_the_larger():
+    # cond_ww of this model is not monotone in L: size 4 is above 7, size 5
+    # below it, so under cap 7 the tie at the best score goes to size 5
+    ladder = SubspaceLadder(random_model(8, 5, 11))
+    conds = [ladder.cond_ww(L) for L in range(1, 6)]
+    assert conds[3] > 7 >= conds[4] and max(conds[:3]) <= 7
+    scores = [4.0, 3.0, 2.0, 1.0, 1.0]
+    assert select_L(ladder, 7, OBJECTIVE_VALIDATION, scores=scores)[0] == 5
+    for cap in sorted(set(conds) | {0.5}):
+        try:
+            got = select_L(ladder, cap, OBJECTIVE_VALIDATION, scores=scores)[0]
+        except NoFeasibleSubspaceError as exc:
+            got = str(exc), exc.min_condition_number
+        assert got == reference_pick(conds, dict(enumerate(scores, start=1)), cap), cap
 
 
 @pytest.fixture
@@ -189,21 +277,48 @@ def test_forecast_with_a_pinned_size_runs_one_svd(work, tmp_path, capsys):
     assert "L: 12" in capsys.readouterr().out
 
 
-def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
+def validation_sweep_work(kind, work):
+    """Run a two-M, two-cap validation sweep on ``<kind>_prices(1500, 3)``
+    and check its work; returns ``{m: (SVDs, rank)}`` per sub-train ladder."""
     sweep = SweepConfig(
         m_values=(20, 40), condition_caps=(1e3, 1e4), n_test=600, objective=OBJECTIVE_VALIDATION
     )
-    report = run_backtest(to_series(smooth_prices(1500, 3)), sweep)
+    series = to_series(GENERATORS[kind](1500, 3))
+    report = run_backtest(series, sweep)
     assert all(not cell.skipped for cell in report.cells)
-    sub_ladders = set(work["scan"])
-    assert len(sub_ladders) == 2 and len(work["scan"]) == 4  # one scan per M and cap
+    scans, svds = list(work["scan"]), list(work["svd"])
+    sub_ladders = set(scans)
+    assert len(sub_ladders) == len(scans) == 2  # one scan per M, whatever the caps
     sub_models = [ladder.model for ladder in sub_ladders]
     assert not any(model is sub for model, _ in work["mse"] for sub in sub_models)
     assert not any(ladder in sub_ladders for ladder, _ in work["fit"])
     assert_one_svd_per_size(work)
-    for ladder in {ladder for ladder, _ in work["svd"]}:
-        sizes = sorted(L for lad, L in work["svd"] if lad is ladder)
-        assert sizes == list(range(1, ladder.rank + 1))  # the profile, or the curve
+    walked = {}
+    for ladder in {ladder for ladder, _ in svds}:
+        sizes = sorted(L for lad, L in svds if lad is ladder)
+        if ladder not in sub_ladders:
+            assert sizes == list(range(1, ladder.rank + 1))  # the full-train curve
+            continue
+        # a sub-train ladder: the sizes in (score, L) order up to the first
+        # one each cap admits, the smallest cap walking furthest
+        _, _, val_y, val_z = sweep_split(series, ladder.model.m + 1, sweep.n_test)
+        scores = validation_scores(ladder, val_y, val_z)
+        order = sorted(range(1, ladder.rank + 1), key=lambda L: (scores[L - 1], L))
+        cap = min(sweep.condition_caps)
+        stop = next(i for i, L in enumerate(order) if ladder.cond_ww(L) <= cap)
+        assert sizes == sorted(order[: stop + 1])
+        walked[ladder.model.m] = (len(sizes), ladder.rank)
+    assert len(walked) == 2
+    return walked
+
+
+def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
+    validation_sweep_work("smooth", work)
+
+
+def test_validation_sweep_walks_fewer_sub_train_sizes_than_the_rank(work):
+    walked = validation_sweep_work("gbm", work)
+    assert all(n_svd < rank for n_svd, rank in walked.values()), walked
 
 
 def test_theoretical_sweep_reads_the_curve_without_refitting(work):

@@ -27,6 +27,7 @@ from subspace_forecast import (
     select_L,
     split_train_test,
     theoretical_mse,
+    validation_scores,
 )
 from subspace_forecast._linalg import solve_sym, spectral_condition, symmetrize
 
@@ -123,8 +124,9 @@ def test_cumulative_validation_scan_matches_refits(seed, cap):
     # the largest feasible size
     val_y, val_z = validation_rows(random_model(12, 8, seed + 100), 60, seed)
     want_l, want_value = refit_scan(model, cap, val_y, val_z)
+    ladder = SubspaceLadder(model)
     got_l, sel = select_L(
-        SubspaceLadder(model), cap, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z
+        ladder, cap, OBJECTIVE_VALIDATION, scores=validation_scores(ladder, val_y, val_z)
     )
     assert got_l == want_l
     assert sel.objective_value == pytest.approx(want_value, rel=1e-10)
@@ -137,7 +139,8 @@ def test_cumulative_validation_scan_keeps_tie_order():
     val_y, val_z = validation_rows(model, 40, seed=3)
     assert refit_scan(model, 1e6, val_y, val_z)[0] == 1
     ladder = SubspaceLadder(model)
-    assert select_L(ladder, 1e6, OBJECTIVE_VALIDATION, val_y=val_y, val_z=val_z)[0] == 1
+    scores = validation_scores(ladder, val_y, val_z)
+    assert select_L(ladder, 1e6, OBJECTIVE_VALIDATION, scores=scores)[0] == 1
 
 
 def test_indefinite_observation_block_keeps_leading_points():
