@@ -14,7 +14,6 @@ from .backtest import (
     CellReport,
     LCurvePoint,
     MethodResult,
-    SubspaceSelection,
     SweepConfig,
     build_l_curve,
     emit_report,

@@ -3,10 +3,10 @@
 For every requested observation length ``M`` the full price history is cut
 into windows, split chronologically into train and test rows, and all three
 estimators are fitted on the training covariance.  For every condition cap
-the reduced-dimension subspace size is chosen by scanning ``L = 1..m``,
-keeping the sizes whose filtered covariance stays below the cap, and taking
-the one minimizing the selection objective (closed-form reduced-dimension
-MSE by default, held-out validation MSE optionally).
+the reduced-dimension subspace size is the first size, in ``(score, L)``
+order, whose filtered covariance stays within the cap: the best score among
+the feasible sizes, ties to the smaller one.  The score is the closed-form
+reduced-dimension MSE by default, held-out validation MSE optionally.
 
 Results are collected per (M, cap) cell and can be serialized as a fixed set
 of CSV files plus a ``summary.json``; identical inputs produce byte-identical
@@ -51,7 +51,6 @@ __all__ = [
     "DEFAULT_M_GRID",
     "SweepConfig",
     "LCurvePoint",
-    "SubspaceSelection",
     "MethodResult",
     "CellReport",
     "BacktestReport",
@@ -127,15 +126,6 @@ class LCurvePoint:
     L: int
     cond_ww: float
     mse_rd: float
-
-
-@dataclass(frozen=True)
-class SubspaceSelection:
-    """Outcome of one constrained subspace-size selection."""
-
-    L: int
-    cond_ww: float
-    objective_value: float
 
 
 @dataclass
@@ -243,57 +233,34 @@ def validation_scores(
     return [metrics.empirical_mse(pred, val_z).total for pred in ladder.forecasts(val_y)]
 
 
-def select_L(
-    ladder: SubspaceLadder,
-    cap: float,
-    objective: str = OBJECTIVE_THEORETICAL,
-    curve: list[LCurvePoint] | None = None,
-    scores: list[float] | None = None,
-) -> tuple[int, SubspaceSelection]:
-    """Smallest-L minimizer of the objective among sizes obeying the cap.
+def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = None) -> int:
+    """Best-scoring subspace size whose ``cond_ww`` meets the cap.
 
-    ``ladder`` is the model's :class:`SubspaceLadder`, which computes each
-    size's ``cond_ww`` once and keeps it for later caps and fits.  The
-    theoretical objective learns feasibility from ``cond_ww`` of every size
-    ``L = 1..m`` and scores only the feasible ones: it reads their ``mse_rd``
-    from ``curve`` (the ladder's :func:`build_l_curve`) when given, else fits
-    and scores them.  The validation objective takes ``scores``, the held-out
-    MSE of every size ``1..rank`` (:func:`validation_scores`), and tests
-    feasibility in ``(score, L)`` order, stopping at the first size under the
-    cap: only the sizes that score at least as well as the chosen one have
-    their ``cond_ww`` computed.  Either way exact objective ties resolve
-    toward the smaller subspace.  Raises :class:`NoFeasibleSubspaceError`
-    (carrying the minimum achievable condition number) when no size
-    satisfies the cap, and ``ValueError`` when the cap is not finite.
+    ``scores[L - 1]`` is the score of size ``L``, lower is better: the
+    L-curve's ``mse_rd`` or :func:`validation_scores`.  Sizes are tried in
+    ``(score, L)`` order and the first with ``ladder.cond_ww(L) <= cap`` is
+    returned, so the pick is the best feasible score with ties to the smaller
+    ``L``, and ``cond_ww`` is computed only for the sizes tried.  Without
+    ``scores`` every size's ``cond_ww`` is computed and the sizes the cap
+    admits are fitted and scored by their closed-form MSE; the others score
+    ``inf``.  Raises :class:`NoFeasibleSubspaceError` (carrying the minimum
+    achievable condition number) when no size satisfies the cap, and
+    ``ValueError`` when the cap is not finite.
     """
     if not math.isfinite(cap):
         raise ValueError(f"condition cap must be finite, got {cap}")
-    if objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
-        raise ValueError(f"unknown objective {objective!r}")
-    model = ladder.model
-    if objective == OBJECTIVE_VALIDATION:
-        if scores is None:
-            raise ValueError("validation objective needs the validation scores")
-        order = sorted(range(1, len(scores) + 1), key=lambda size: (scores[size - 1], size))
-        for l_size in order:
-            cond = ladder.cond_ww(l_size)
-            if cond <= cap:
-                return l_size, SubspaceSelection(
-                    L=l_size, cond_ww=cond, objective_value=scores[l_size - 1]
-                )
-        raise _no_feasible_subspace(ladder, cap)
-    feasible = [l_size for l_size in range(1, model.m + 1) if ladder.cond_ww(l_size) <= cap]
-    if not feasible:
-        raise _no_feasible_subspace(ladder, cap)
-    if curve is None:
-        values = [metrics.theoretical_mse(model, ladder.fit(l_size)) for l_size in feasible]
-    else:
-        values = [curve[l_size - 1].mse_rd for l_size in feasible]
-    best, best_value = None, float("inf")
-    for l_size, value in zip(feasible, values):
-        if value < best_value:
-            best, best_value = l_size, value
-    return best, SubspaceSelection(L=best, cond_ww=ladder.cond_ww(best), objective_value=best_value)
+    if scores is None:
+        model = ladder.model
+        scores = [
+            metrics.theoretical_mse(model, ladder.fit(l_size))
+            if ladder.cond_ww(l_size) <= cap
+            else math.inf
+            for l_size in range(1, model.m + 1)
+        ]
+    for l_size in sorted(range(1, len(scores) + 1), key=lambda size: (scores[size - 1], size)):
+        if ladder.cond_ww(l_size) <= cap:
+            return l_size
+    raise _no_feasible_subspace(ladder, cap)
 
 
 def _no_feasible_subspace(ladder: SubspaceLadder, cap: float) -> NoFeasibleSubspaceError:
@@ -369,14 +336,14 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         curve = build_l_curve(ladder)
         curves[m_days] = curve
 
-        # the validation objective selects on a sub-train model: its sizes
-        # are scored once per M, and each cap computes cond_ww only for the
-        # sizes it walks past in score order; no curve, no mse_rd
-        sel_ladder, sel_curve, scores = ladder, curve, None
+        # the validation objective scores the sizes of a sub-train model,
+        # once per M; no curve, no mse_rd
+        mse_scores = [p.mse_rd for p in curve]
+        sel_ladder, scores = ladder, mse_scores
         if sweep.objective == OBJECTIVE_VALIDATION:
             n_val = max(1, train.n_samples // 5)
             sub_train, val = split_train_test(train, n_val)
-            sel_ladder, sel_curve = SubspaceLadder(empirical_covariance(sub_train)), None
+            sel_ladder = SubspaceLadder(empirical_covariance(sub_train))
             scores = validation_scores(sel_ladder, val.y_block, val.z_block)
 
         unc_result = _evaluate_method(model, fit_unconditional(model), test)
@@ -393,12 +360,10 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         for cap in sweep.condition_caps:
             cell = CellReport(M=m_days, cap=cap, cond_yy=cond_yy, gb_error=gb_error)
             try:
-                best_l, _ = select_L(
-                    sel_ladder, cap, sweep.objective, curve=sel_curve, scores=scores
-                )
+                best_l = select_L(sel_ladder, cap, scores)
                 if curve[best_l - 1].cond_ww > cap:
                     # validation pick infeasible on the full-train model
-                    best_l, _ = select_L(ladder, cap, curve=curve)
+                    best_l = select_L(ladder, cap, mse_scores)
                 rd = ladder.fit(best_l)
             except NoFeasibleSubspaceError as exc:
                 cell.skipped = True

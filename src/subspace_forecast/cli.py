@@ -159,6 +159,8 @@ def build_parser() -> _Parser:
 def cmd_forecast(args: argparse.Namespace) -> int:
     if args.method != METHOD_RD and (args.l_override is not None or args.cap is not None):
         raise ValueError(f"--l and --cap apply only to --method {METHOD_RD}")
+    if args.l_override is not None and args.cap is not None:
+        raise ValueError("--l pins the rd subspace size; it does not combine with --cap")
     series = load_csv(args.csv)
     m, h = args.m, args.horizon
     config = WindowConfig(N=m + h, M=m)
@@ -185,7 +187,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             best_l = args.l_override
         else:
             cap = DEFAULT_FORECAST_CAP if args.cap is None else args.cap
-            best_l, _ = select_L(ladder, cap)
+            best_l = select_L(ladder, cap)
         est = ladder.fit(best_l)
 
     tail = series.prices[-m:]

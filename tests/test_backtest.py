@@ -76,9 +76,9 @@ def test_select_l_is_monotone_in_the_cap():
         model = dyadic_model(seed)
         picks = []
         for cap in caps:
-            best_l, sel = select_L(SubspaceLadder(model), cap)
-            assert sel.cond_ww <= cap
-            assert sel.L == best_l
+            ladder = SubspaceLadder(model)
+            best_l = select_L(ladder, cap)
+            assert ladder.cond_ww(best_l) <= cap
             picks.append(best_l)
         assert picks == sorted(picks), f"seed {seed}: {picks}"
 
@@ -97,28 +97,26 @@ def test_select_l_rejects_a_non_finite_cap(objective):
     # would otherwise admit a size that cannot be fitted
     ladder = SubspaceLadder(CovarianceModel.from_matrix(np.diag([1.0, 4.0, 3.0, 2.0]), m=2))
     assert ladder.rank == 1
-    scores = validation_scores(ladder, np.ones((5, 2)), np.ones((5, 2)))
+    # the default scores (the closed-form MSE select_L computes) or given ones
+    scores = None
+    if objective == OBJECTIVE_VALIDATION:
+        scores = validation_scores(ladder, np.ones((5, 2)), np.ones((5, 2)))
     for cap in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
-            select_L(ladder, cap, objective, scores=scores)
+            select_L(ladder, cap, scores)
     curve = build_l_curve(ladder)
     with pytest.raises(ValueError, match="finite"):
-        select_L(ladder, float("inf"), curve=curve)
+        select_L(ladder, float("inf"), [p.mse_rd for p in curve])
 
 
 def test_select_l_breaks_ties_toward_smaller_subspace():
     # with an identity covariance no subspace helps: every L has the same
     # closed-form error, so the scan must settle on L = 1
     model = CovarianceModel.from_matrix(np.eye(12), m=8)
-    best_l, sel = select_L(SubspaceLadder(model), 1e6)
+    ladder = SubspaceLadder(model)
+    best_l = select_L(ladder, 1e6)
     assert best_l == 1
-    assert sel.cond_ww == pytest.approx(1.0)
-
-
-def test_select_l_validation_objective_needs_holdout():
-    model = dyadic_model()
-    with pytest.raises(ValueError):
-        select_L(SubspaceLadder(model), 1e4, objective=OBJECTIVE_VALIDATION)
+    assert ladder.cond_ww(best_l) == pytest.approx(1.0)
 
 
 # An exactly solvable market: prices c * exp(delta * u) with iid standard

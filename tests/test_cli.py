@@ -108,6 +108,15 @@ def test_forecast_rd_only_flags_are_usage_errors_for_other_methods(price_csv, me
     assert proc.stdout == ""  # no forecast that ignored the flag
 
 
+def test_forecast_pinned_size_with_a_cap_is_usage_error(price_csv):
+    # --l pins the size instead of searching under --cap, so a cap given with
+    # it would be ignored; the pinned size is never checked against it
+    proc = run_cli("forecast", "--csv", price_csv, "--m", "30", "--l", "7", "--cap", "2")
+    assert proc.returncode == 1
+    assert "--l pins the rd subspace size; it does not combine with --cap" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_forecast_rd_default_cap_is_1e4(price_csv):
     default = run_cli("forecast", "--csv", price_csv, "--m", "30")
     explicit = run_cli("forecast", "--csv", price_csv, "--m", "30", "--cap", "1e4")

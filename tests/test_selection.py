@@ -1,16 +1,15 @@
 """Subspace-size selection computes only the values it compares.
 
-Under the theoretical objective ``select_L`` learns feasibility from
-``cond_ww`` of every size and scores only the feasible ones; without a curve
-the ladder supplies the condition profile, one SVD per size, kept for later
-caps and fits.  Under the validation objective every size is scored first
-(one rank-one scan per model) and feasibility is tested in ``(score, L)``
-order, so the SVDs stop at the first size under the cap.  These tests hold
-the theoretical selection to the full-curve one and the validation
-selection to a brute-force reference that never calls ``select_L``, count
-the work a forecast and a validation sweep do, and check the invariant that
-makes the theoretical objective well posed: ``mse_rd`` does not grow with
-``L``.
+``select_L`` walks the sizes in ``(score, L)`` order and returns the first
+whose ``cond_ww`` meets the cap: the best feasible score, ties to the
+smaller ``L``.  A sweep passes the L-curve's ``mse_rd`` or the held-out MSE
+of every size (one rank-one scan per model); without scores ``select_L``
+fits and scores the sizes the cap admits, after one SVD per size.  These
+tests hold both score sources to a brute-force reference that never calls
+``select_L``, hold selection without a curve to selection from the full
+curve, count the work a forecast and a sweep do, and check the invariant
+that makes the theoretical objective well posed: ``mse_rd`` does not grow
+with ``L``.
 """
 
 import functools
@@ -21,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_forecast import (
-    OBJECTIVE_THEORETICAL,
     OBJECTIVE_VALIDATION,
     NoFeasibleSubspaceError,
     SubspaceLadder,
@@ -45,7 +43,6 @@ from test_backtest import dyadic_model
 from test_estimators import random_model, seeds
 from test_subspace_ladder import validation_rows
 
-OBJECTIVES = (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION)
 GENERATORS = {"gbm": gbm_prices, "smooth": smooth_prices}
 SWEEP_M = (20, 50, 80, 110, 140, 170, 200)
 
@@ -92,10 +89,9 @@ def selection_case(name, request):
     return sub_model, val_y, val_z
 
 
-def outcome(ladder, cap, objective, val_y, val_z, curve=None):
-    scores = validation_scores(ladder, val_y, val_z)
+def outcome(ladder, cap, scores):
     try:
-        return select_L(ladder, cap, objective, curve=curve, scores=scores)
+        return select_L(ladder, cap, scores)
     except NoFeasibleSubspaceError as exc:
         return str(exc), exc.min_condition_number
 
@@ -106,12 +102,16 @@ def check_selection_without_curve(model, val_y, val_z):
     # every distinct feasibility set: each finite cond_ww as the cap (the
     # bound is inclusive), the sweep's caps and one below every size
     caps = sorted({p.cond_ww for p in curve if np.isfinite(p.cond_ww)} | {0.5, 1e3, 1e4})
-    for objective in OBJECTIVES:
-        ladder = SubspaceLadder(model)  # one ladder serves every cap
-        for cap in caps:
-            want = outcome(reference, cap, objective, val_y, val_z, curve=curve)
-            got = outcome(ladder, cap, objective, val_y, val_z)
-            assert got == want, (objective, cap)
+    theory = [p.mse_rd for p in curve]
+    held_out = validation_scores(reference, val_y, val_z)
+    # the closed-form MSE select_L computes against the curve's, and held-out
+    # MSE on a ladder without a curve against the ladder with one; each
+    # ladder serves every cap
+    ladder, val_ladder = SubspaceLadder(model), SubspaceLadder(model)
+    val_scores = validation_scores(val_ladder, val_y, val_z)
+    for cap in caps:
+        assert outcome(ladder, cap, None) == outcome(reference, cap, theory), cap
+        assert outcome(val_ladder, cap, val_scores) == outcome(reference, cap, held_out), cap
 
 
 @pytest.mark.parametrize(
@@ -130,9 +130,10 @@ def test_selection_without_a_curve_on_the_full_train_price_model(kind):
 
 
 def reference_pick(conds, scores, cap):
-    """Validation selection by brute force: the best score over the sizes
-    whose ``cond_ww`` meets the cap, ties to the smaller size; for a cap no
-    size meets, the error message and minimum ``select_L`` must report."""
+    """Selection by brute force: the best of ``scores`` (size to score) over
+    the sizes whose ``cond_ww`` meets the cap, ties to the smaller size; for
+    a cap no size meets, the error message and minimum ``select_L`` must
+    report."""
     feasible = [L for L, cond in enumerate(conds, start=1) if cond <= cap]
     if not feasible:
         min_cond = min(conds)
@@ -144,31 +145,70 @@ def reference_pick(conds, scores, cap):
     return min(feasible, key=lambda L: (scores[L], L))
 
 
-def check_validation_against_reference(model, val_y, val_z):
-    """``select_L`` against :func:`reference_pick` on every distinct cap, the
-    reference built from a separate ladder's ``cond_ww`` of every size and
-    the held-out MSE of each feasible size's own fit (not the rank-one scan).
+def check_against_reference(model, score, ladder_scores, rtol=0.0):
+    """``select_L(ladder, cap, ladder_scores(ladder))`` against
+    :func:`reference_pick` on every distinct cap, the reference built from a
+    separate ladder's ``cond_ww`` of every size and ``score`` of each
+    feasible size's own fit.  Sizes whose reference scores differ by no more
+    than ``rtol`` relative are the same pick.
     """
     reference = SubspaceLadder(model)
     conds = [reference.cond_ww(L) for L in range(1, model.m + 1)]
     scores = {
-        L: empirical_mse(val_y @ reference.fit(L).coeff.T, val_z).total
-        for L, cond in enumerate(conds, start=1)
-        if np.isfinite(cond)
+        L: score(reference.fit(L)) for L, cond in enumerate(conds, start=1) if np.isfinite(cond)
     }
     ladder = SubspaceLadder(model)  # one ladder serves every cap
-    ladder_scores = validation_scores(ladder, val_y, val_z)
+    given = ladder_scores(ladder)
     for cap in sorted({c for c in conds if np.isfinite(c)} | {0.5, 1e3, 1e4}):
         want = reference_pick(conds, scores, cap)
         try:
-            got, sel = select_L(ladder, cap, OBJECTIVE_VALIDATION, scores=ladder_scores)
+            got = select_L(ladder, cap, given)
         except NoFeasibleSubspaceError as exc:
             assert (str(exc), exc.min_condition_number) == want, cap
             continue
-        # the scan and a refit agree to rounding; sizes whose scores differ
-        # by no more than that are the same pick
-        assert got == want or abs(scores[got] - scores[want]) <= 1e-12 * scores[want], cap
-        assert sel.cond_ww == conds[got - 1] <= cap
+        assert got == want or abs(scores[got] - scores[want]) <= rtol * scores[want], cap
+        assert ladder.cond_ww(got) == conds[got - 1] <= cap
+
+
+def check_theoretical_against_reference(model):
+    """The closed-form MSE that ``select_L`` computes itself and the one read
+    off the L-curve, each against the reference."""
+    mse = functools.partial(metrics.theoretical_mse, model)
+    check_against_reference(model, mse, lambda ladder: None)
+    check_against_reference(model, mse, lambda ladder: [p.mse_rd for p in build_l_curve(ladder)])
+
+
+def check_validation_against_reference(model, val_y, val_z):
+    """The rank-one scan's held-out MSE against the reference's refits; the
+    two agree to rounding."""
+    check_against_reference(
+        model,
+        lambda est: empirical_mse(val_y @ est.coeff.T, val_z).total,
+        lambda ladder: validation_scores(ladder, val_y, val_z),
+        rtol=1e-12,
+    )
+
+
+REFERENCE_FIXTURES = [
+    "dyadic:0", "dyadic:1", "dyadic:4", "pinned",
+    *(f"{kind}:{m}" for kind in sorted(GENERATORS) for m in (20, 80, 140)),
+]
+
+
+@given(seed=seeds, dim=st.integers(3, 16), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_theoretical_selection_matches_a_brute_force_reference(seed, dim, data):
+    m = data.draw(st.integers(1, dim - 1))
+    check_theoretical_against_reference(random_model(dim, m, seed))
+
+
+@pytest.mark.parametrize("name", REFERENCE_FIXTURES)
+def test_theoretical_selection_matches_a_brute_force_reference_on_fixtures(name, request):
+    kind, _, arg = name.partition(":")
+    if kind in GENERATORS:  # the theoretical sweep selects on the full-train model
+        check_theoretical_against_reference(sweep_cell(kind, int(arg))[0])
+    else:
+        check_theoretical_against_reference(selection_case(name, request)[0])
 
 
 @given(seed=seeds, dim=st.integers(3, 16), data=st.data())
@@ -179,29 +219,24 @@ def test_validation_selection_matches_a_brute_force_reference(seed, dim, data):
     check_validation_against_reference(random_model(dim, m, seed), val_y, val_z)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["dyadic:0", "dyadic:1", "dyadic:4", "pinned",
-     *(f"{kind}:{m}" for kind in sorted(GENERATORS) for m in (20, 80, 140))],
-)
+@pytest.mark.parametrize("name", REFERENCE_FIXTURES)
 def test_validation_selection_matches_a_brute_force_reference_on_fixtures(name, request):
     check_validation_against_reference(*selection_case(name, request))
 
 
-def test_validation_tie_with_an_infeasible_smaller_size_picks_the_larger():
+def test_score_tie_with_an_infeasible_smaller_size_picks_the_larger():
     # cond_ww of this model is not monotone in L: size 4 is above 7, size 5
-    # below it, so under cap 7 the tie at the best score goes to size 5
+    # below it, so under cap 7 the tie at the best score goes to size 5,
+    # whatever the scores measure
     ladder = SubspaceLadder(random_model(8, 5, 11))
     conds = [ladder.cond_ww(L) for L in range(1, 6)]
     assert conds[3] > 7 >= conds[4] and max(conds[:3]) <= 7
     scores = [4.0, 3.0, 2.0, 1.0, 1.0]
-    assert select_L(ladder, 7, OBJECTIVE_VALIDATION, scores=scores)[0] == 5
+    assert select_L(ladder, 7, scores) == 5
     for cap in sorted(set(conds) | {0.5}):
-        try:
-            got = select_L(ladder, cap, OBJECTIVE_VALIDATION, scores=scores)[0]
-        except NoFeasibleSubspaceError as exc:
-            got = str(exc), exc.min_condition_number
-        assert got == reference_pick(conds, dict(enumerate(scores, start=1)), cap), cap
+        assert outcome(ladder, cap, scores) == reference_pick(
+            conds, dict(enumerate(scores, start=1)), cap
+        ), cap
 
 
 @pytest.fixture
@@ -279,7 +314,8 @@ def test_forecast_with_a_pinned_size_runs_one_svd(work, tmp_path, capsys):
 
 def validation_sweep_work(kind, work):
     """Run a two-M, two-cap validation sweep on ``<kind>_prices(1500, 3)``
-    and check its work; returns ``{m: (SVDs, rank)}`` per sub-train ladder."""
+    and check its work and picks; returns ``{m: (SVDs, rank)}`` per sub-train
+    ladder and the number of picks that fell back to the full-train curve."""
     sweep = SweepConfig(
         m_values=(20, 40), condition_caps=(1e3, 1e4), n_test=600, objective=OBJECTIVE_VALIDATION
     )
@@ -293,7 +329,7 @@ def validation_sweep_work(kind, work):
     assert not any(model is sub for model, _ in work["mse"] for sub in sub_models)
     assert not any(ladder in sub_ladders for ladder, _ in work["fit"])
     assert_one_svd_per_size(work)
-    walked = {}
+    walked, fallbacks = {}, 0
     for ladder in {ladder for ladder, _ in svds}:
         sizes = sorted(L for lad, L in svds if lad is ladder)
         if ladder not in sub_ladders:
@@ -308,16 +344,30 @@ def validation_sweep_work(kind, work):
         stop = next(i for i, L in enumerate(order) if ladder.cond_ww(L) <= cap)
         assert sizes == sorted(order[: stop + 1])
         walked[ladder.model.m] = (len(sizes), ladder.rank)
+        # every cap's pick by brute force: the best feasible score on the
+        # sub-train model, or the full-train curve's best where that size
+        # breaks the cap on the full-train model
+        curve = report.l_curves[ladder.model.m + 1]
+        conds = [ladder.cond_ww(L) for L in range(1, ladder.model.m + 1)]
+        for cell in (c for c in report.cells if c.M == ladder.model.m + 1):
+            pick = reference_pick(conds, dict(enumerate(scores, start=1)), cell.cap)
+            if curve[pick - 1].cond_ww > cell.cap:
+                fallbacks += 1
+                pick = reference_pick(
+                    [p.cond_ww for p in curve], {p.L: p.mse_rd for p in curve}, cell.cap
+                )
+            assert cell.best_L == pick, (cell.M, cell.cap)
     assert len(walked) == 2
-    return walked
+    return walked, fallbacks
 
 
 def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
-    validation_sweep_work("smooth", work)
+    _, fallbacks = validation_sweep_work("smooth", work)
+    assert fallbacks > 0  # so the fallback's pick is checked too
 
 
 def test_validation_sweep_walks_fewer_sub_train_sizes_than_the_rank(work):
-    walked = validation_sweep_work("gbm", work)
+    walked, _ = validation_sweep_work("gbm", work)
     assert all(n_svd < rank for n_svd, rank in walked.values()), walked
 
 

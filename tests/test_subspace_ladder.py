@@ -13,7 +13,6 @@ from scipy.linalg import solve_triangular
 
 from subspace_forecast import (
     METHOD_RD,
-    OBJECTIVE_VALIDATION,
     CovarianceModel,
     Estimator,
     IllConditionedError,
@@ -125,11 +124,10 @@ def test_cumulative_validation_scan_matches_refits(seed, cap):
     val_y, val_z = validation_rows(random_model(12, 8, seed + 100), 60, seed)
     want_l, want_value = refit_scan(model, cap, val_y, val_z)
     ladder = SubspaceLadder(model)
-    got_l, sel = select_L(
-        ladder, cap, OBJECTIVE_VALIDATION, scores=validation_scores(ladder, val_y, val_z)
-    )
+    scores = validation_scores(ladder, val_y, val_z)
+    got_l = select_L(ladder, cap, scores)
     assert got_l == want_l
-    assert sel.objective_value == pytest.approx(want_value, rel=1e-10)
+    assert scores[got_l - 1] == pytest.approx(want_value, rel=1e-10)
 
 
 def test_cumulative_validation_scan_keeps_tie_order():
@@ -140,7 +138,7 @@ def test_cumulative_validation_scan_keeps_tie_order():
     assert refit_scan(model, 1e6, val_y, val_z)[0] == 1
     ladder = SubspaceLadder(model)
     scores = validation_scores(ladder, val_y, val_z)
-    assert select_L(ladder, 1e6, OBJECTIVE_VALIDATION, scores=scores)[0] == 1
+    assert select_L(ladder, 1e6, scores) == 1
 
 
 def test_indefinite_observation_block_keeps_leading_points():
