@@ -67,6 +67,11 @@ OBJECTIVE_VALIDATION = "validation_mse"
 # Default observation-length grid: 20 through 440 in steps of 30.
 DEFAULT_M_GRID = tuple(range(20, 441, 30))
 
+# select_L without scores drops a size only when its cond_ww lower bound is
+# over this multiple of the cap (or of the best exact value, when no size
+# meets the cap), so no rounding in the bound can drop a size it should keep.
+BOUND_MARGIN = 2.0
+
 CSV_FILES = (
     "mse_vs_L.csv",
     "best_mse.csv",
@@ -241,32 +246,45 @@ def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = No
     ``(score, L)`` order and the first with ``ladder.cond_ww(L) <= cap`` is
     returned, so the pick is the best feasible score with ties to the smaller
     ``L``, and ``cond_ww`` is computed only for the sizes tried.  Without
-    ``scores`` every size's ``cond_ww`` is computed and the sizes the cap
-    admits are fitted and scored by their closed-form MSE; the others score
-    ``inf``.  Raises :class:`NoFeasibleSubspaceError` (carrying the minimum
-    achievable condition number) when no size satisfies the cap, and
-    ``ValueError`` when the cap is not finite.
+    ``scores`` the candidates are the sizes whose
+    :meth:`~SubspaceLadder.cond_ww_bounds` entry is at most ``BOUND_MARGIN``
+    times the cap; every other size is provably over the cap.  The
+    candidates are fitted without their SVD, scored by their closed-form
+    MSE and tried in the same order.  Raises
+    :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
+    condition number) when no size satisfies the cap, and ``ValueError``
+    when the cap is not finite.
     """
     if not math.isfinite(cap):
         raise ValueError(f"condition cap must be finite, got {cap}")
     if scores is None:
         model = ladder.model
-        scores = [
-            metrics.theoretical_mse(model, ladder.fit(l_size))
-            if ladder.cond_ww(l_size) <= cap
-            else math.inf
-            for l_size in range(1, model.m + 1)
-        ]
-    for l_size in sorted(range(1, len(scores) + 1), key=lambda size: (scores[size - 1], size)):
+        score = {
+            l_size: metrics.theoretical_mse(model, ladder._fit(l_size))
+            for l_size, bound in enumerate(ladder.cond_ww_bounds().tolist(), start=1)
+            if bound <= BOUND_MARGIN * cap
+        }
+    else:
+        score = dict(enumerate(scores, start=1))
+    for l_size in sorted(score, key=lambda size: (score[size], size)):
         if ladder.cond_ww(l_size) <= cap:
             return l_size
     raise _no_feasible_subspace(ladder, cap)
 
 
 def _no_feasible_subspace(ladder: SubspaceLadder, cap: float) -> NoFeasibleSubspaceError:
-    """The error for a cap no size meets, with the exact minimum ``cond_ww``."""
+    """The error for a cap no size meets, with the exact minimum ``cond_ww``.
+
+    Sizes are taken in ascending bound order, and the search stops at the
+    first bound over ``BOUND_MARGIN`` times the best exact value so far.
+    """
     m = ladder.model.m
-    min_cond = min(ladder.cond_ww(l_size) for l_size in range(1, m + 1))
+    bounds = ladder.cond_ww_bounds().tolist()
+    min_cond = math.inf
+    for l_size in sorted(range(1, ladder.rank + 1), key=lambda size: (bounds[size - 1], size)):
+        if bounds[l_size - 1] > BOUND_MARGIN * min_cond:
+            break
+        min_cond = min(min_cond, ladder.cond_ww(l_size))
     return NoFeasibleSubspaceError(
         f"no subspace size in [1, {m}] keeps cond(sigma_ww) <= {cap:g}; "
         f"minimum achievable is {min_cond:g}",

@@ -142,7 +142,9 @@ def load_csv(path: str) -> PriceSeries:
     InsufficientDataError
         Fewer than two data rows.
     """
-    rows: list[tuple[str, float, int]] = []
+    dates: list[str] = []
+    prices: list[float] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
@@ -150,31 +152,35 @@ def load_csv(path: str) -> PriceSeries:
                 continue
             if lineno == 1 and text.lower().replace(" ", "") == "date,close":
                 continue
-            parts = text.split(",")
-            if len(parts) != 2:
+            token, comma, rest = text.partition(",")
+            if not comma or "," in rest:
                 raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
-            token = parts[0].strip()
+            token = token.strip()
             try:
                 _date.fromisoformat(token)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
             try:
-                price = float(parts[1])
+                price = float(rest)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad price {parts[1].strip()!r}") from exc
+                raise ParseError(f"{path}:{lineno}: bad price {rest.strip()!r}") from exc
             if not math.isfinite(price) or price <= 0:
                 raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
-            rows.append((token, price, lineno))
-    if len(rows) < 2:
-        raise InsufficientDataError(f"{path}: need at least 2 data rows, got {len(rows)}")
-    rows.sort(key=lambda r: r[0])
-    for (d1, _, l1), (d2, _, l2) in zip(rows, rows[1:]):
-        if d1 == d2:
-            raise DomainError(f"{path}: duplicate date {d1} (lines {l1} and {l2})")
+            dates.append(token)
+            prices.append(price)
+            linenos.append(lineno)
+    if len(dates) < 2:
+        raise InsufficientDataError(f"{path}: need at least 2 data rows, got {len(dates)}")
+    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: ties keep file order
+    for i, j in zip(order, order[1:]):
+        if dates[i] == dates[j]:
+            raise DomainError(
+                f"{path}: duplicate date {dates[i]} (lines {linenos[i]} and {linenos[j]})"
+            )
     return PriceSeries(
         ticker=str(path),
-        dates=tuple(r[0] for r in rows),
-        prices=np.array([r[1] for r in rows], dtype=float),
+        dates=tuple([dates[i] for i in order]),
+        prices=np.array(prices, dtype=float)[order],
     )
 
 

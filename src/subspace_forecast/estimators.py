@@ -11,7 +11,7 @@ estimator of every subspace size.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -36,6 +36,9 @@ METHOD_UNC = "unc"
 METHOD_GB = "gb"
 METHOD_RD = "rd"
 METHODS = (METHOD_UNC, METHOD_GB, METHOD_RD)
+
+# power and inverse steps of SubspaceLadder.cond_ww_bounds
+_BOUND_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,8 @@ class SubspaceLadder:
 
     Each size's ``cond_ww`` is stored on the ladder when first computed, so
     the condition profile, every cap and ``fit`` share one SVD per size.
+    :meth:`cond_ww_bounds` gives a lower bound on every size's ``cond_ww``
+    from a few batched products and triangular solves, without an SVD.
 
     Sizes past ``rank`` are unusable: the basis loses rank there (judged from
     ``|R_ii|`` of the basis itself) or ``S`` stops being positive definite
@@ -133,6 +138,7 @@ class SubspaceLadder:
         self._w = solve_triangular(k, self._q.T @ model.sigma_yz, lower=True)
         self._y = solve_triangular(k, self._r, lower=True)
         self._cond_ww: dict[int, float] = {}
+        self._bounds: np.ndarray | None = None
 
     def check(self, L: int) -> None:
         """Raise unless size ``L`` can be fitted."""
@@ -170,8 +176,48 @@ class SubspaceLadder:
         cond = ratio * ratio  # a float product overflows to inf, ``**`` raises
         return float("inf") if cond * SINGULARITY_RTOL >= 1 else cond
 
+    def cond_ww_bounds(self) -> np.ndarray:
+        """Lower bounds on ``cond_ww(L)`` for ``L = 1..rank``, entry ``L - 1``.
+
+        Any vectors ``v`` and ``u`` give ``|Y_L' v| / |v| <= s_max(Y_L)`` and
+        ``|Y_L u| / |u| >= s_min(Y_L)``.  Power steps with ``Y_L' Y_L`` choose
+        ``v`` and inverse steps through the triangular factors,
+        ``inv(Y_L) = inv(R_L) K_L``, choose ``u``; the solves only choose the
+        vector, so the bound holds however they round.  Every size runs at
+        once: column ``L - 1`` of an upper triangular batch holds size ``L``'s
+        vector with zeros below row ``L``, so ``triu(Y @ X)`` is ``Y_L x_L``
+        for every ``L`` and an upper triangular solve keeps the zeros.
+        ``s_min`` is raised by ``4 L eps s_max``, the rounding of both the
+        products and the SVD, so the bound stays at or below ``cond_ww(L)``.
+        Non-finite bounds are 0.  Computed once and stored on the ladder,
+        read-only.
+        """
+        if self._bounds is None:
+            y, r, k = self._y, self._r, self._k
+            start = np.triu(np.ones_like(y))
+            x = start
+            for _ in range(_BOUND_STEPS):
+                v = np.triu(y @ x)
+                x = np.triu(y.T @ v)
+            u = start
+            for _ in range(_BOUND_STEPS):
+                w = k.T @ np.triu(solve_triangular(r, u, trans=1, check_finite=False))
+                u = solve_triangular(r, np.triu(k @ w), check_finite=False)
+            with np.errstate(all="ignore"):
+                s_max = np.linalg.norm(x, axis=0) / np.linalg.norm(v, axis=0)
+                s_min = np.linalg.norm(np.triu(y @ u), axis=0) / np.linalg.norm(u, axis=0)
+                slack = 4 * np.finfo(float).eps * np.arange(1, self.rank + 1) * s_max
+                bounds = (s_max / (s_min + slack)) ** 2
+            self._bounds = np.where(np.isfinite(bounds), bounds, 0.0)
+            self._bounds.flags.writeable = False
+        return self._bounds
+
     def fit(self, L: int) -> Estimator:
         """The reduced-dimension estimator of size ``L``."""
+        return replace(self._fit(L), cond=self.cond_ww(L))
+
+    def _fit(self, L: int) -> Estimator:
+        """:meth:`fit` without the SVD: ``cond`` is None."""
         self.check(L)
         w = self._w[:L]
         a, info = lapack.dtrtrs(self._k[:L, :L], w, lower=1, trans=1)
@@ -181,7 +227,6 @@ class SubspaceLadder:
             method=METHOD_RD,
             coeff=(self._q[:, :L] @ a).T,
             posterior_cov=symmetrize(self.model.sigma_zz - w.T @ w),
-            cond=self.cond_ww(L),
             subspace_dim=L,
         )
 

@@ -105,6 +105,86 @@ def test_load_csv_skips_blank_lines(tmp_path):
     assert len(load_csv(str(p))) == 2
 
 
+def iso_error(token):
+    """The message ``date.fromisoformat`` gives for ``token``."""
+    from datetime import date
+
+    with pytest.raises(ValueError) as info:
+        date.fromisoformat(token)
+    return str(info.value)
+
+
+# (file text, exception type, message after "<path>"); a line's checks run
+# column count, date, price parse, price domain, and the earliest bad line
+# wins; duplicate dates and the row count are checked after the last line
+MALFORMED = {
+    "bad price": (
+        "date,close\n2001-01-02,10.0\n2001-01-03,not-a-price\n",
+        ParseError, ":3: bad price 'not-a-price'",
+    ),
+    "bad price, stripped": ("2001-01-02, x \n", ParseError, ":1: bad price 'x'"),
+    "three columns": (
+        "2001-01-02,10.0,extra\n", ParseError,
+        ":1: expected 'date,close', got '2001-01-02,10.0,extra'",
+    ),
+    "one column": (
+        "2001-01-02 10.0\n", ParseError, ":1: expected 'date,close', got '2001-01-02 10.0'"
+    ),
+    "bad date": (
+        "2001-13-40,10.0\n2001-01-03,11.0\n", ParseError,
+        f":1: bad date '2001-13-40': {iso_error('2001-13-40')}",
+    ),
+    "header past line 1": (
+        "\ndate,close\n2001-01-03,11.0\n", ParseError,
+        f":2: bad date 'date': {iso_error('date')}",
+    ),
+    "non-positive price": (
+        "2001-01-02,10.0\n2001-01-03,-4.0\n", DomainError,
+        ":2: price must be finite and positive, got -4.0",
+    ),
+    "nan price": (
+        "2001-01-02,10.0\n2001-01-03,nan\n", DomainError,
+        ":2: price must be finite and positive, got nan",
+    ),
+    "duplicate date": (
+        "2001-01-03,10.0\n2001-01-02,9.0\n\n2001-01-03,11.0\n", DomainError,
+        ": duplicate date 2001-01-03 (lines 1 and 4)",
+    ),
+    "one row": (
+        "date,close\n2001-01-02,10.0\n", InsufficientDataError,
+        ": need at least 2 data rows, got 1",
+    ),
+    "bad price before bad date": (
+        "2001-01-02,10.0\n2001-01-03,x\n2001-01-04,11.0\nbad,12.0\n",
+        ParseError, ":2: bad price 'x'",
+    ),
+    "bad date before bad price": (
+        "2001-01-02,10.0\n2001-02-30,1.0\n2001-01-04,0\n", ParseError,
+        f":2: bad date '2001-02-30': {iso_error('2001-02-30')}",
+    ),
+    "columns before date": (
+        "2001-13-40,x,y\n", ParseError, ":1: expected 'date,close', got '2001-13-40,x,y'"
+    ),
+    "date before price": (
+        "2001-13-40,x\n", ParseError, f":1: bad date '2001-13-40': {iso_error('2001-13-40')}"
+    ),
+    "parse fault before duplicate": (
+        "2001-01-02,1.0\n2001-01-02,2.0\n2001-01-03,x\n", ParseError, ":3: bad price 'x'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_load_csv_malformed_files(case, tmp_path):
+    text, exc_type, message = MALFORMED[case]
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(exc_type) as info:
+        load_csv(str(p))
+    assert type(info.value) is exc_type
+    assert str(info.value) == f"{p}{message}"
+
+
 # ------------------------------------------------------------- PriceSeries
 
 def test_price_series_validation():

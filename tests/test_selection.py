@@ -4,8 +4,9 @@
 whose ``cond_ww`` meets the cap: the best feasible score, ties to the
 smaller ``L``.  A sweep passes the L-curve's ``mse_rd`` or the held-out MSE
 of every size (one rank-one scan per model); without scores ``select_L``
-fits and scores the sizes the cap admits, after one SVD per size.  These
-tests hold both score sources to a brute-force reference that never calls
+fits and scores only the sizes whose ``cond_ww`` lower bound does not rule
+them out, and runs an SVD only for the sizes it tries.  These tests hold
+both score sources to a brute-force reference that never calls
 ``select_L``, hold selection without a curve to selection from the full
 curve, count the work a forecast and a sweep do, and check the invariant
 that makes the theoretical objective well posed: ``mse_rd`` does not grow
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from subspace_forecast import (
     OBJECTIVE_VALIDATION,
+    CovarianceModel,
     NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
@@ -37,11 +39,12 @@ from subspace_forecast import (
     split_train_test,
     validation_scores,
 )
+from subspace_forecast.backtest import BOUND_MARGIN
 
 from conftest import gbm_prices, smooth_prices, to_series, write_price_csv
 from test_backtest import dyadic_model
 from test_estimators import random_model, seeds
-from test_subspace_ladder import validation_rows
+from test_subspace_ladder import mp_reference, validation_rows
 
 GENERATORS = {"gbm": gbm_prices, "smooth": smooth_prices}
 SWEEP_M = (20, 50, 80, 110, 140, 170, 200)
@@ -224,6 +227,54 @@ def test_validation_selection_matches_a_brute_force_reference_on_fixtures(name, 
     check_validation_against_reference(*selection_case(name, request))
 
 
+def assert_bounds_below_cond_ww(model):
+    """Every entry of ``cond_ww_bounds`` is at most the SVD's ``cond_ww``."""
+    ladder = SubspaceLadder(model)
+    bounds = ladder.cond_ww_bounds()
+    conds = np.array([ladder.cond_ww(L) for L in range(1, ladder.rank + 1)])
+    assert bounds.shape == conds.shape
+    over = np.flatnonzero(bounds > conds)
+    assert over.size == 0, [(L + 1, bounds[L], conds[L]) for L in over]
+
+
+@given(seed=seeds, dim=st.integers(3, 16), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_cond_ww_bounds_stay_below_cond_ww(seed, dim, data):
+    m = data.draw(st.integers(1, dim - 1))
+    assert_bounds_below_cond_ww(random_model(dim, m, seed))
+
+
+@pytest.mark.parametrize("name", ["dyadic:0", "dyadic:1", "dyadic:4", "pinned"])
+def test_cond_ww_bounds_stay_below_cond_ww_on_fixtures(name, request):
+    assert_bounds_below_cond_ww(selection_case(name, request)[0])
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("m_days", [*SWEEP_M, 440])
+def test_cond_ww_bounds_stay_below_cond_ww_on_price_series(kind, m_days):
+    assert_bounds_below_cond_ww(sweep_cell(kind, m_days)[0])
+
+
+def test_a_size_whose_exact_cond_ww_sits_at_the_cap_is_selected():
+    # on the basis V = I with sigma_yy = diag(4^-i), Y_L = diag(2^i) up to
+    # signs, so cond_ww(L) = 4^(L - 1) in float64 and at 50 digits alike;
+    # every size lowers mse_rd by 1/8, so the pick is the largest size under
+    # the cap, and under the cap 4^3 that is L = 4, exactly at the cap
+    m, h = 6, 2
+    sigma = np.eye(m + h)
+    sigma[:m, :m] = np.diag(4.0 ** -np.arange(m))
+    sigma[:m, m:] = 0.25 * 2.0 ** -np.arange(m)[:, None]
+    sigma[m:, :m] = sigma[:m, m:].T
+    model = CovarianceModel(sigma_xx=sigma, m=m, V=np.eye(m + h))
+    cap = float(mp_reference(model, 4)[1])
+    assert cap == 64.0
+    ladder = SubspaceLadder(model)
+    assert [ladder.cond_ww(L) for L in range(1, m + 1)] == [4.0**i for i in range(m)]
+    assert cap / BOUND_MARGIN < ladder.cond_ww_bounds()[3] <= cap
+    assert select_L(ladder, cap) == 4
+    assert select_L(SubspaceLadder(model), float(np.nextafter(cap, 0))) == 3
+
+
 def test_score_tie_with_an_infeasible_smaller_size_picks_the_larger():
     # cond_ww of this model is not monotone in L: size 4 is above 7, size 5
     # below it, so under cap 7 the tie at the best score goes to size 5,
@@ -239,14 +290,36 @@ def test_score_tie_with_an_infeasible_smaller_size_picks_the_larger():
         ), cap
 
 
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("m_days", [20, 200])
+def test_no_feasible_size_reports_the_brute_force_minimum(kind, m_days):
+    model = sweep_cell(kind, m_days)[0]
+    curve = build_l_curve(SubspaceLadder(model))  # every size's cond_ww, no bounds
+    conds = [p.cond_ww for p in curve]
+    curve_ladder = SubspaceLadder(model)  # one ladder serves every cap
+    for cap in (-1.0, 0.0, 0.5, float(np.nextafter(min(conds), 0))):
+        want = reference_pick(conds, {}, cap)
+        for ladder, scores in (
+            (SubspaceLadder(model), None),
+            (curve_ladder, [p.mse_rd for p in curve]),
+        ):
+            with pytest.raises(NoFeasibleSubspaceError) as info:
+                select_L(ladder, cap, scores)
+            assert (str(info.value), info.value.min_condition_number) == want, (cap, scores)
+            if scores is None:  # the bounds stop the search for the minimum early
+                assert len(ladder._cond_ww) < ladder.rank
+
+
 @pytest.fixture
 def work(monkeypatch):
     """Record every fit, every ``cond_ww`` SVD, every validation scan and
     every closed-form MSE, with the ladder (or model) each ran on.
 
-    ``SubspaceLadder.cond_ww`` keeps each size's value on the ladder and
-    runs the SVD through ``_svd_cond_ww`` only on the first call for a
-    size, so that is where the SVDs are counted.
+    Every fit, with its ``cond_ww`` (``fit``) or without (the scoring in
+    ``select_L``), runs ``SubspaceLadder._fit`` once, so that is where fits
+    are counted.  ``SubspaceLadder.cond_ww`` keeps each size's value on the
+    ladder and runs the SVD through ``_svd_cond_ww`` only on the first call
+    for a size, so that is where the SVDs are counted.
     """
     calls = {"fit": [], "svd": [], "scan": [], "mse": []}
 
@@ -259,7 +332,7 @@ def work(monkeypatch):
 
     ladder_and_size = lambda ladder, L: (ladder, L)  # noqa: E731
     monkeypatch.setattr(
-        SubspaceLadder, "fit", counted("fit", SubspaceLadder.fit, ladder_and_size)
+        SubspaceLadder, "_fit", counted("fit", SubspaceLadder._fit, ladder_and_size)
     )
     monkeypatch.setattr(
         SubspaceLadder,
@@ -284,22 +357,51 @@ def assert_one_svd_per_size(calls):
     assert len(calls["svd"]) == len(set(calls["svd"])), "a size's SVD ran twice"
 
 
-@pytest.mark.parametrize("kind", sorted(GENERATORS))
-@pytest.mark.parametrize("m_days", [20, 60])
-def test_forecast_fits_no_infeasible_size(kind, m_days, work, tmp_path, capsys):
-    cap = 1e4
-    csv = write_price_csv(tmp_path / "p.csv", GENERATORS[kind](3000, 7))
+def forecast_work(work, csv, m_days, cap):
+    """Run ``forecast --m m_days --cap cap`` on ``csv`` and check its work:
+    the sizes whose bound rules them out are neither fitted nor SVD'd, every
+    other size is fitted once for its score and the chosen size once more,
+    and the SVDs are the candidates in ``(score, L)`` order up to the chosen
+    size.  Returns the ladder, the candidates and the chosen size."""
     assert cli.main(["forecast", "--csv", csv, "--m", str(m_days), "--cap", str(cap)]) == 0
     (ladder,) = {ladder for ladder, _ in work["fit"]}
-    feasible = [L for L in range(1, ladder.model.m + 1) if ladder.cond_ww(L) <= cap]
-    assert len(feasible) < ladder.model.m  # the cap excludes sizes, so skipping them shows
     assert_one_svd_per_size(work)
-    assert sorted(L for _, L in work["svd"]) == list(range(1, ladder.rank + 1))
-    fitted = [L for _, L in work["fit"]]
-    # every feasible size once for its score, then the chosen size once more
-    assert fitted[:-1] == feasible and fitted[-1] in feasible
-    assert work["mse"] == [(ladder.model, "rd")] * len(feasible)
-    assert f"L: {fitted[-1]}" in capsys.readouterr().out
+    fitted, svds = [L for _, L in work["fit"]], [L for _, L in work["svd"]]
+    assert work["mse"] == [(ladder.model, "rd")] * (len(fitted) - 1)
+    bounds = ladder.cond_ww_bounds()
+    candidates = [L for L in range(1, ladder.rank + 1) if bounds[L - 1] <= BOUND_MARGIN * cap]
+    chosen = fitted[-1]
+    assert fitted[:-1] == candidates and chosen in candidates
+    # the walk's order is each candidate's closed-form MSE
+    mse = {L: metrics.theoretical_mse(ladder.model, ladder.fit(L)) for L in candidates}
+    tried = sorted(candidates, key=lambda L: (mse[L], L))
+    assert svds == tried[: tried.index(chosen) + 1]
+    return ladder, candidates, svds
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("m_days", [20, 60])
+def test_forecast_fits_and_svds_no_pruned_size(kind, m_days, work, tmp_path, capsys):
+    cap = 1e4
+    csv = write_price_csv(tmp_path / "p.csv", GENERATORS[kind](3000, 7))
+    ladder, candidates, svds = forecast_work(work, csv, m_days, cap)
+    assert len(candidates) < ladder.rank  # the bounds prune, so skipping them shows
+    # every pruned size is over the cap, and the pick is the brute-force one
+    conds = [ladder.cond_ww(L) for L in range(1, ladder.model.m + 1)]
+    assert all(conds[L - 1] > cap for L in range(1, ladder.rank + 1) if L not in candidates)
+    mse = {L: metrics.theoretical_mse(ladder.model, ladder.fit(L))
+           for L in range(1, ladder.rank + 1) if conds[L - 1] <= cap}
+    assert svds[-1] == reference_pick(conds, mse, cap)
+    assert f"L: {svds[-1]}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_wide_forecast_runs_few_svds(kind, work, tmp_path):
+    # M = 440 on a 5000-day series: one SVD per size would be 439
+    csv = write_price_csv(tmp_path / "p.csv", GENERATORS[kind](5000, 1000))
+    ladder, candidates, svds = forecast_work(work, csv, 440, 1e4)
+    assert ladder.rank == 439
+    assert len(svds) <= 40 and len(candidates) < 100, (len(svds), len(candidates))
 
 
 def test_forecast_with_a_pinned_size_runs_one_svd(work, tmp_path, capsys):
@@ -369,6 +471,24 @@ def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
 def test_validation_sweep_walks_fewer_sub_train_sizes_than_the_rank(work):
     walked, _ = validation_sweep_work("gbm", work)
     assert all(n_svd < rank for n_svd, rank in walked.values()), walked
+
+
+def test_validation_fallback_picks_from_the_full_train_curve():
+    # the sub-train validation pick (8) breaks the cap on the full-train
+    # model, so the cell falls back to the full-train curve's mse_rd, which
+    # picks 7; the sub-train scores under the full-train cond_ww would pick 5
+    cap = 1e4
+    sweep = SweepConfig(
+        m_values=(30,), condition_caps=(cap,), n_test=500, objective=OBJECTIVE_VALIDATION
+    )
+    series = to_series(smooth_prices(1500, 8))
+    model, sub_model, val_y, val_z = sweep_split(series, 30, sweep.n_test)
+    ladder, sub_ladder = SubspaceLadder(model), SubspaceLadder(sub_model)
+    scores = validation_scores(sub_ladder, val_y, val_z)
+    assert ladder.cond_ww(select_L(sub_ladder, cap, scores)) > cap
+    assert select_L(ladder, cap, scores) == 5
+    (cell,) = run_backtest(series, sweep).cells
+    assert cell.best_L == 7
 
 
 def test_theoretical_sweep_reads_the_curve_without_refitting(work):
