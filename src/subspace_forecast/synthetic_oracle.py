@@ -7,7 +7,11 @@ sampling: :func:`mc_mse` replays the forecast on fresh draws
 block and replicating observations from the reverse conditional law.  Both
 take a sequence of estimators, draw once and score every estimator on the
 same draws, and return one estimate with its sampling standard error per
-estimator, in order.
+estimator, in order.  Both draw and score a block of about ``SAMPLE_BLOCK``
+rows at a time (whole strata for :func:`mc_bias`, which keeps each stratum
+only as its observation mean and replicate scatter), from the random stream
+one draw of every row would use, so neither holds every draw at once and
+the results are those of the unblocked forms up to rounding.
 
 Fixture covariances come from :func:`random_covariance`, which pins an exact
 eigenvalue spectrum on a random orthogonal basis so conditioning is
@@ -19,7 +23,7 @@ the benchmark and ``scripts/make_synthetic_prices.py`` all draw from them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +48,10 @@ __all__ = [
 
 # Observations replicated per future-block stratum in :func:`mc_bias`.
 MC_BIAS_REPLICATES = 100
+# Rows drawn and scored at a time by the Monte-Carlo oracles: a block of the
+# 30-dimensional verify law is 0.5 MB, so it and its forecast errors stay in
+# a core's cache between the draw and the scoring.
+SAMPLE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -87,17 +95,31 @@ def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(np.clip(s, 0.0, None))) @ v.T
 
 
-def sample(spec: GaussianSpec, n: int) -> np.ndarray:
-    """Draw ``n`` vectors; deterministic per seed (same seed, same matrix)."""
+def _check_count(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+
+
+def _sample_blocks(spec: GaussianSpec, n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, block)``: ``n`` draws in order, at most ``SAMPLE_BLOCK``
+    rows at a time.  The blocks continue one random stream, so together they
+    are the rows one draw of all ``n`` gives, up to rounding."""
     rng = np.random.default_rng(spec.seed)
     factor = _sqrt_factor(spec.true_cov)
-    return rng.standard_normal((n, spec.dim)) @ factor
+    for start in range(0, n, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n)
+        yield slice(start, stop), rng.standard_normal((stop - start, spec.dim)) @ factor
 
 
-def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> None:
-    """Raise ``ValueError`` unless every estimator fits the spec split at ``split``."""
+def sample(spec: GaussianSpec, n: int) -> np.ndarray:
+    """Draw ``n`` vectors; deterministic per seed (same seed, same matrix)."""
+    _check_count(n)
+    return np.concatenate([block for _, block in _sample_blocks(spec, n)])
+
+
+def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> None:
+    """Raise ``ValueError`` unless every estimator fits the spec split at
+    ``split`` and ``n`` asks for at least one draw."""
     if not ests:
         raise ValueError("need at least one estimator")
     h = spec.dim - split
@@ -107,25 +129,27 @@ def _check_shapes(spec: GaussianSpec, ests: Sequence[Estimator], split: int) -> 
                 f"estimator shape ({est.horizon}, {est.m}) does not match spec dim "
                 f"{spec.dim} split at {split}"
             )
+    _check_count(n)
 
 
 def mc_squared_errors(
     spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
 ) -> list[np.ndarray]:
     """Squared forecast error ``||z - C y||^2`` of each estimator on each of
-    ``n`` fresh draws.
+    ``n`` fresh draws, the draws of :func:`sample` ``(spec, n)``.
 
-    One :func:`sample` serves every estimator (common random numbers), so the
-    errors of a list equal those of one-element calls bit for bit, and
-    differences between estimators carry no independent sampling noise.
+    The draws are made and scored one block of rows at a time, and each
+    block serves every estimator (common random numbers), so the errors of a
+    list equal those of one-element calls bit for bit, and differences
+    between estimators carry no independent sampling noise.
     """
-    _check_shapes(spec, ests, split)
-    x = sample(spec, n)
-    y, z = x[:, :split], x[:, split:]
-    out = []
-    for est in ests:
-        err = z - y @ est.coeff.T
-        out.append(np.einsum("ij,ij->i", err, err))
+    _check_inputs(spec, ests, split, n)
+    out = [np.empty(n) for _ in ests]
+    for rows, x in _sample_blocks(spec, n):
+        y, z = x[:, :split], x[:, split:]
+        for est, sq in zip(ests, out):
+            err = z - y @ est.coeff.T
+            sq[rows] = np.einsum("ij,ij->i", err, err)
     return out
 
 
@@ -148,18 +172,25 @@ def mc_bias(
     future block.
 
     For each of ``n // MC_BIAS_REPLICATES`` draws of the future block z,
-    ``MC_BIAS_REPLICATES`` observation vectors are replicated from the
-    reverse conditional law (mean ``R z``), the forecasts are averaged to
-    estimate the conditional mean, and its squared distance to z is recorded.
-    The replication noise that inflates that distance is estimated from the
-    within-stratum scatter and subtracted, so the estimator is unbiased for
-    ``E || E[zhat | z] - z ||^2``.
+    ``MC_BIAS_REPLICATES`` observation vectors ``y_i = R z + eps_i`` are
+    replicated from the reverse conditional law.  The forecasts averaged over
+    a stratum estimate the conditional mean, and its squared distance to z is
+    recorded.  The replication noise that inflates that distance is estimated
+    from the within-stratum scatter and subtracted, so the estimator is
+    unbiased for ``E || E[zhat | z] - z ||^2``.
+
+    A forecast is linear in ``y``, so each stratum is kept only as its
+    observation mean ``ybar = R z + mean_i eps_i`` and its replicate scatter
+    ``S = sum_i (eps_i - epsbar)(eps_i - epsbar)^T``: an estimator ``C`` has
+    forecast mean ``C ybar`` and forecast scatter ``<S, C^T C>``.  The
+    replicates are drawn after every z, a block of whole strata at a time,
+    so the random stream is that of one draw of all of them.
 
     The strata and their replicates are drawn once and scored for every
     estimator (common random numbers): the estimates of a list equal those of
     one-element calls bit for bit.
     """
-    _check_shapes(spec, ests, split)
+    _check_inputs(spec, ests, split, n)
     cov = spec.true_cov
     syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
     n_rep = max(2, min(MC_BIAS_REPLICATES, n))
@@ -171,15 +202,24 @@ def mc_bias(
     z_factor = _sqrt_factor(szz)
     rng = np.random.default_rng(spec.seed)
     z = rng.standard_normal((n_z, spec.dim - split)) @ z_factor
-    eps = rng.standard_normal((n_z, n_rep, split)) @ y_factor
-    y = (z @ r.T)[:, None, :] + eps
+    y_mean = z @ r.T
+    grams = [(est.coeff.T @ est.coeff).ravel() for est in ests]
+    bias = [np.empty(n_z) for _ in ests]
+    step = max(1, SAMPLE_BLOCK // n_rep)
+    for lo in range(0, n_z, step):
+        hi = min(lo + step, n_z)
+        k = slice(lo, hi)
+        eps = rng.standard_normal((hi - lo, n_rep, split)) @ y_factor
+        eps_mean = eps.mean(axis=1)
+        resid = eps - eps_mean[:, None, :]
+        scatter = (resid.transpose(0, 2, 1) @ resid).reshape(hi - lo, -1)
+        y_mean[k] += eps_mean
+        for est, gram, b_k in zip(ests, grams, bias):
+            dev = y_mean[k] @ est.coeff.T - z[k]
+            noise = scatter @ gram / (n_rep - 1)
+            b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
     out = []
-    for est in ests:
-        zhat = y @ est.coeff.T
-        m_k = zhat.mean(axis=1)
-        resid = zhat - m_k[:, None, :]
-        noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
-        b_k = np.einsum("ki,ki->k", m_k - z, m_k - z) - noise / n_rep
+    for b_k in bias:
         se = float(b_k.std(ddof=1) / math.sqrt(n_z)) if n_z > 1 else float("inf")
         out.append(McEstimate(value=float(b_k.mean()), se=se, n=n_z * n_rep))
     return out

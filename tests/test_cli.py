@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,4 +311,4 @@ def test_price_script_writes_the_fixture_csv(kind, flags, prices, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     want = write_price_csv(tmp_path / "fixture.csv", prices)
-    assert out.read_bytes() == open(want, "rb").read()
+    assert out.read_bytes() == Path(want).read_bytes()

@@ -24,6 +24,8 @@ from subspace_forecast import (
     squared_bias,
     theoretical_mse,
 )
+from subspace_forecast._linalg import solve_sym, symmetrize
+from subspace_forecast.synthetic_oracle import MC_BIAS_REPLICATES, SAMPLE_BLOCK, _sqrt_factor
 
 from conftest import FIXTURE_SPLIT
 
@@ -98,14 +100,20 @@ def test_mc_mse_tiny_closed_forms():
 
 def test_mc_mse_is_the_mean_of_the_per_draw_squared_errors(pinned_spec, pinned_model):
     ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model)]
-    sq = mc_squared_errors(pinned_spec, ests, FIXTURE_SPLIT, 3_000)
-    assert [s.shape for s in sq] == [(3_000,)] * 2
-    x = sample(pinned_spec, 3_000)  # the same draws, scored independently
-    y, z = x[:, :FIXTURE_SPLIT], x[:, FIXTURE_SPLIT:]
-    for est, got in zip(ests, sq):
-        assert_allclose(got, ((z - y @ est.coeff.T) ** 2).sum(axis=1), rtol=1e-12)
-    mse = mc_mse(pinned_spec, ests, FIXTURE_SPLIT, 3_000)
-    assert [e.value for e in mse] == [float(s.mean()) for s in sq]
+    # one block, one row, and several blocks with a partial last one
+    for n in (3_000, 1, 3 * SAMPLE_BLOCK + 17):
+        sq = mc_squared_errors(pinned_spec, ests, FIXTURE_SPLIT, n)
+        assert [s.shape for s in sq] == [(n,)] * 2
+        x = sample(pinned_spec, n)  # the same draws, scored independently
+        # ... which are those of one draw of all n rows
+        one_draw = np.random.default_rng(pinned_spec.seed).standard_normal((n, pinned_spec.dim))
+        assert_allclose(x, one_draw @ _sqrt_factor(pinned_spec.true_cov), rtol=0,
+                        atol=1e-12 * np.abs(x).max())
+        y, z = x[:, :FIXTURE_SPLIT], x[:, FIXTURE_SPLIT:]
+        for est, got in zip(ests, sq):
+            assert_allclose(got, ((z - y @ est.coeff.T) ** 2).sum(axis=1), rtol=1e-12)
+        mse = mc_mse(pinned_spec, ests, FIXTURE_SPLIT, n)
+        assert [e.value for e in mse] == [float(s.mean()) for s in sq]
 
 
 def test_mc_mse_rejects_mismatched_split():
@@ -126,6 +134,47 @@ def test_mc_bias_singular_future_block_raises(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(IllConditionedError):
         mc_bias(degenerate, [est, est], 2, n=1_000)
+
+
+def replicate_level_bias(spec, ests, split, n):
+    """``mc_bias`` formed replicate by replicate: every observation vector
+    and its forecast is kept, from the same draws (z, then every eps)."""
+    cov = spec.true_cov
+    syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
+    n_rep = MC_BIAS_REPLICATES
+    n_z = n // n_rep
+    r = solve_sym(szz, szy, "sigma_zz").T
+    rng = np.random.default_rng(spec.seed)
+    z = rng.standard_normal((n_z, spec.dim - split)) @ _sqrt_factor(szz)
+    eps = rng.standard_normal((n_z, n_rep, split)) @ _sqrt_factor(symmetrize(syy - r @ szy))
+    y = (z @ r.T)[:, None, :] + eps
+    out = []
+    for est in ests:
+        zhat = y @ est.coeff.T
+        m_k = zhat.mean(axis=1)
+        resid = zhat - m_k[:, None, :]
+        noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
+        b_k = np.einsum("ki,ki->k", m_k - z, m_k - z) - noise / n_rep
+        out.append((b_k.mean(), b_k.std(ddof=1) / np.sqrt(n_z), n_z * n_rep))
+    return out
+
+
+@pytest.mark.parametrize("n", [100_000, 12_345])
+def test_mc_bias_matches_the_replicate_level_form(n, pinned_spec, pinned_model):
+    """Per-stratum mean and scatter give the estimates that forming every
+    replicate's forecast gives, whether the strata fill whole draw blocks
+    or leave a partial last block."""
+    strata_per_block = SAMPLE_BLOCK // MC_BIAS_REPLICATES
+    assert ((n // MC_BIAS_REPLICATES) % strata_per_block == 0) == (n == 100_000)
+    ladder = SubspaceLadder(pinned_model)
+    ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model)]
+    ests += [ladder.fit(L) for L in (1, 5, 10)]
+    got = mc_bias(pinned_spec, ests, FIXTURE_SPLIT, n)
+    want = replicate_level_bias(pinned_spec, ests, FIXTURE_SPLIT, n)
+    for g, (value, se, count) in zip(got, want):
+        assert g.value == pytest.approx(value, rel=1e-12)
+        assert g.se == pytest.approx(se, rel=1e-12)
+        assert g.n == count
 
 
 def test_mc_bias_unconditional_is_total_future_variance(pinned_spec, pinned_model):
@@ -190,6 +239,9 @@ def test_oracles_check_every_estimator_before_drawing(
             oracle(pinned_spec, mixed, FIXTURE_SPLIT, 1_000)
     with pytest.raises(ValueError, match="at least one estimator"):
         oracle(pinned_spec, [], FIXTURE_SPLIT, 1_000)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            oracle(pinned_spec, ests, FIXTURE_SPLIT, n)
 
 
 def test_random_covariance_has_requested_spectrum():
