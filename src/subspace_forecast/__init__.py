@@ -54,8 +54,6 @@ from .estimators import (
     predict,
 )
 from .metrics import (
-    DirectionalReport,
-    EmpiricalMse,
     directional_statistic,
     empirical_mse,
     squared_bias,

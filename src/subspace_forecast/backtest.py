@@ -9,8 +9,8 @@ the feasible sizes, ties to the smaller one.  The score is the closed-form
 reduced-dimension MSE by default, held-out validation MSE optionally.
 
 Results are collected per (M, cap) cell and can be serialized as a fixed set
-of CSV files plus a ``summary.json``; identical inputs produce byte-identical
-output.
+of CSV files plus a ``summary.json``, whose keys are the records' own field
+names; identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from .estimators import (
     fit_gauss_bayes,
     fit_unconditional,
 )
-from .metrics import DirectionalReport
 
 __all__ = [
     "OBJECTIVE_THEORETICAL",
@@ -114,19 +114,10 @@ class SweepConfig:
         if self.objective not in (OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION):
             raise ValueError(f"unknown objective {self.objective!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "m_values": list(self.m_values),
-            "horizon": self.horizon,
-            "condition_caps": list(self.condition_caps),
-            "n_test": self.n_test,
-            "objective": self.objective,
-        }
 
-
-@dataclass(frozen=True)
-class LCurvePoint:
-    """One point of the subspace-size scan for a fixed M."""
+class LCurvePoint(NamedTuple):
+    """One point of the subspace-size scan for a fixed M; serialized as its
+    ``[L, cond_ww, mse_rd]`` triple."""
 
     L: int
     cond_ww: float
@@ -144,26 +135,11 @@ class MethodResult:
     empirical_mse: float
     empirical_mse_per_day: np.ndarray
     empirical_mse_price: float
-    directional: DirectionalReport
+    directional_per_day: np.ndarray
+    directional_mean: float
     volatility: np.ndarray
     cond: float | None = None
     subspace_dim: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "theoretical_mse": self.theoretical_mse,
-            "bias_sq": self.bias_sq,
-            "variance": self.variance,
-            "empirical_mse": self.empirical_mse,
-            "empirical_mse_per_day": [float(v) for v in self.empirical_mse_per_day],
-            "empirical_mse_price": self.empirical_mse_price,
-            "directional_per_day": [float(v) for v in self.directional.per_day],
-            "directional_mean": self.directional.mean_over_days,
-            "volatility": [float(v) for v in self.volatility],
-            "cond": self.cond,
-            "subspace_dim": self.subspace_dim,
-        }
 
 
 @dataclass
@@ -180,19 +156,6 @@ class CellReport:
     gb_error: str | None = None
     results: dict[str, MethodResult] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "cap": self.cap,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "best_L": self.best_L,
-            "cond_yy": self.cond_yy,
-            "cond_ww": self.cond_ww,
-            "gb_error": self.gb_error,
-            "results": {k: v.to_dict() for k, v in self.results.items()},
-        }
-
 
 @dataclass
 class BacktestReport:
@@ -201,16 +164,6 @@ class BacktestReport:
     sweep: SweepConfig
     cells: list[CellReport]
     l_curves: dict[int, list[LCurvePoint]]
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.sweep.to_dict(),
-            "cells": [c.to_dict() for c in self.cells],
-            "l_curves": {
-                str(m): [[p.L, p.cond_ww, p.mse_rd] for p in curve]
-                for m, curve in sorted(self.l_curves.items())
-            },
-        }
 
 
 def build_l_curve(ladder: SubspaceLadder) -> list[LCurvePoint]:
@@ -235,7 +188,7 @@ def validation_scores(
 ) -> list[float]:
     """Held-out MSE of every size ``L = 1..rank`` on the validation rows, in
     one pass over :meth:`SubspaceLadder.forecasts`; no size is refitted."""
-    return [metrics.empirical_mse(pred, val_z).total for pred in ladder.forecasts(val_y)]
+    return [float(metrics.empirical_mse(pred, val_z).sum()) for pred in ladder.forecasts(val_y)]
 
 
 def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = None) -> int:
@@ -304,7 +257,6 @@ def _evaluate_method(
     emp = metrics.empirical_mse(preds, z_test)
     pred_prices = (preds + mean_tail) * scales
     actual_prices = (z_test + mean_tail) * scales
-    emp_price = metrics.empirical_mse(pred_prices, actual_prices)
     directional = metrics.directional_statistic(pred_prices, actual_prices, test.scales)
     theoretical = metrics.theoretical_mse(model, est)
     try:
@@ -316,10 +268,11 @@ def _evaluate_method(
         theoretical_mse=theoretical,
         bias_sq=bias_sq,
         variance=theoretical - bias_sq,
-        empirical_mse=emp.total,
-        empirical_mse_per_day=emp.per_day,
-        empirical_mse_price=emp_price.total,
-        directional=directional,
+        empirical_mse=float(emp.sum()),
+        empirical_mse_per_day=emp,
+        empirical_mse_price=float(metrics.empirical_mse(pred_prices, actual_prices).sum()),
+        directional_per_day=directional,
+        directional_mean=float(directional.mean()),
         volatility=metrics.volatility(est),
         cond=est.cond,
         subspace_dim=est.subspace_dim,
@@ -398,6 +351,14 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
     return BacktestReport(sweep=sweep, cells=cells, l_curves=curves)
 
 
+def _plain(obj):
+    """JSON form of what ``json`` cannot write itself: an array's list, a
+    record's fields."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return vars(obj)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
@@ -415,7 +376,9 @@ def emit_report(report: BacktestReport, out_dir: str) -> list[Path]:
     """Serialize a report: five CSV families plus ``summary.json``.
 
     Column names are stable for downstream plotting; floats are written at
-    full round-trip precision.  Skipped cells appear only in the JSON.
+    full round-trip precision.  ``summary.json`` is the report's records
+    serialized by one rule (:func:`_plain`), so its keys are their field
+    names.  Skipped cells appear only in the JSON.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -454,9 +417,9 @@ def emit_report(report: BacktestReport, out_dir: str) -> list[Path]:
             result = cell.results.get(method)
             if result is None:
                 continue
-            for day in range(result.directional.per_day.shape[0]):
+            for day in range(result.directional_per_day.shape[0]):
                 directional_rows.append(
-                    (cell.M, cell.cap, method, day + 1, float(result.directional.per_day[day]))
+                    (cell.M, cell.cap, method, day + 1, float(result.directional_per_day[day]))
                 )
                 volatility_rows.append(
                     (cell.M, cell.cap, method, day + 1, float(result.volatility[day]))
@@ -466,6 +429,16 @@ def emit_report(report: BacktestReport, out_dir: str) -> list[Path]:
 
     summary = out / "summary.json"
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(
+            {
+                "config": report.sweep,
+                "cells": report.cells,
+                "l_curves": {str(m): curve for m, curve in report.l_curves.items()},
+            },
+            fh,
+            indent=2,
+            sort_keys=True,
+            default=_plain,
+        )
         fh.write("\n")
     return [out / name for name in CSV_FILES] + [summary]

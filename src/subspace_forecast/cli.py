@@ -234,8 +234,8 @@ def _run_grid(args: argparse.Namespace, m_values) -> int:
             f"M={cell.M} cap={cell.cap:g}: L={cell.best_L}"
             f" cond_yy={cell.cond_yy:.6g} cond_ww={cell.cond_ww:.6g}"
             f" mse[unc]={unc.empirical_mse:.6g} mse[gb]={gb_text}"
-            f" mse[rd]={rd.empirical_mse:.6g} dir[rd]={rd.directional.mean_over_days:.4f}"
-            f" dir1[rd]={rd.directional.per_day[0]:.4f}"
+            f" mse[rd]={rd.empirical_mse:.6g} dir[rd]={rd.directional_mean:.4f}"
+            f" dir1[rd]={rd.directional_per_day[0]:.4f}"
         )
     if args.out:
         paths = emit_report(report, args.out)

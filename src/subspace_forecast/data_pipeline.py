@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as _date
+from pathlib import Path
 
 import numpy as np
 
@@ -124,7 +125,9 @@ class DataMatrix:
 
 
 def load_csv(path: str) -> PriceSeries:
-    """Read a ``date,close`` CSV into a :class:`PriceSeries` labelled by ``path``.
+    """Read a ``date,close`` CSV into a :class:`PriceSeries` labelled by its
+    file name, so every spelling of one path gives the same series.  Error
+    messages name the path as given.
 
     Parameters
     ----------
@@ -178,7 +181,7 @@ def load_csv(path: str) -> PriceSeries:
                 f"{path}: duplicate date {dates[i]} (lines {linenos[i]} and {linenos[j]})"
             )
     return PriceSeries(
-        ticker=str(path),
+        ticker=Path(path).name,
         dates=tuple([dates[i] for i in order]),
         prices=np.array(prices, dtype=float)[order],
     )

@@ -1,8 +1,10 @@
-"""Closed-form and out-of-sample performance measures for fitted estimators."""
+"""Closed-form and out-of-sample performance measures for fitted estimators.
+
+The out-of-sample measures return one value per forecast day as a plain
+array; a caller that wants one figure takes its ``sum()`` or ``mean()``.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,32 +13,12 @@ from .covariance_model import CovarianceModel
 from .estimators import METHOD_GB, METHOD_RD, METHOD_UNC, Estimator
 
 __all__ = [
-    "EmpiricalMse",
-    "DirectionalReport",
     "theoretical_mse",
     "squared_bias",
     "empirical_mse",
     "directional_statistic",
     "volatility",
 ]
-
-
-@dataclass(frozen=True)
-class EmpiricalMse:
-    """Mean squared forecast error per forecast day, plus the sum over days."""
-
-    per_day: np.ndarray
-    total: float
-
-
-@dataclass(frozen=True)
-class DirectionalReport:
-    """Fraction of samples whose forecast moved to the correct side of the
-    reference price, per forecast day."""
-
-    per_day: np.ndarray
-    mean_over_days: float
-    n_samples: int
 
 
 def _check_split(model: CovarianceModel, est: Estimator) -> None:
@@ -48,24 +30,21 @@ def _check_split(model: CovarianceModel, est: Estimator) -> None:
 
 
 def theoretical_mse(model: CovarianceModel, est: Estimator) -> float:
-    """Closed-form mean squared error of the estimator under the model.
+    """Closed-form mean squared error of the linear forecast ``zhat = C y``
+    under the model, one form for every estimator:
 
-    unc: trace(sigma_zz).
-    gb:  trace(sigma_zz) - trace(sigma_zy @ coeff').
-    rd:  trace(sigma_zz) + trace(C sigma_yy C') - 2 trace(sigma_zy C').
+        trace(sigma_zz) + trace(C sigma_yy C') - 2 trace(sigma_zy C').
+
+    For unc (``C = 0``) it is trace(sigma_zz) exactly.  For gb it equals the
+    shorter trace(sigma_zz) - trace(sigma_zy C') only in exact arithmetic:
+    the full form is stationary at the optimal ``C``, so the rounding of the
+    coefficients enters it to second order rather than first.
     """
     _check_split(model, est)
-    base = float(np.trace(model.sigma_zz))
-    if est.method == METHOD_UNC:
-        return base
-    if est.method == METHOD_GB:
-        return base - float(np.einsum("ij,ij->", model.sigma_zy, est.coeff))
-    if est.method == METHOD_RD:
-        c = est.coeff
-        quad = float(np.einsum("ij,ij->", c @ model.sigma_yy, c))
-        cross = float(np.einsum("ij,ij->", model.sigma_zy, c))
-        return base + quad - 2.0 * cross
-    raise ValueError(f"unknown method {est.method!r}")
+    c = est.coeff
+    quad = float(np.einsum("ij,ij->", c @ model.sigma_yy, c))
+    cross = float(np.einsum("ij,ij->", model.sigma_zy, c))
+    return float(np.trace(model.sigma_zz)) + quad - 2.0 * cross
 
 
 def squared_bias(model: CovarianceModel, est: Estimator) -> float:
@@ -91,8 +70,8 @@ def squared_bias(model: CovarianceModel, est: Estimator) -> float:
     return float(np.einsum("ij,ij->", icr @ model.sigma_zz, icr))
 
 
-def empirical_mse(predictions: np.ndarray, actuals: np.ndarray) -> EmpiricalMse:
-    """Average squared error over samples, per forecast day and summed."""
+def empirical_mse(predictions: np.ndarray, actuals: np.ndarray) -> np.ndarray:
+    """Average squared error over samples, per forecast day."""
     predictions = np.asarray(predictions, dtype=float)
     actuals = np.asarray(actuals, dtype=float)
     if predictions.shape != actuals.shape or predictions.ndim != 2:
@@ -102,15 +81,15 @@ def empirical_mse(predictions: np.ndarray, actuals: np.ndarray) -> EmpiricalMse:
         )
     if predictions.shape[0] < 1:
         raise ValueError("need at least one sample")
-    per_day = ((actuals - predictions) ** 2).mean(axis=0)
-    return EmpiricalMse(per_day=per_day, total=float(per_day.sum()))
+    return ((actuals - predictions) ** 2).mean(axis=0)
 
 
 def directional_statistic(
     predictions_raw: np.ndarray, actuals_raw: np.ndarray, z0: np.ndarray
-) -> DirectionalReport:
+) -> np.ndarray:
     """Score 1 when forecast and actual sit strictly on the same side of the
-    per-sample reference price ``z0``; ties score 0.  Averaged over samples."""
+    per-sample reference price ``z0``; ties score 0.  Averaged over samples,
+    per forecast day."""
     predictions_raw = np.asarray(predictions_raw, dtype=float)
     actuals_raw = np.asarray(actuals_raw, dtype=float)
     z0 = np.asarray(z0, dtype=float)
@@ -120,12 +99,7 @@ def directional_statistic(
         raise ValueError("z0 must hold one reference price per sample")
     ref = z0[:, None]
     hits = ((actuals_raw - ref) * (predictions_raw - ref) > 0).astype(float)
-    per_day = hits.mean(axis=0)
-    return DirectionalReport(
-        per_day=per_day,
-        mean_over_days=float(per_day.mean()),
-        n_samples=predictions_raw.shape[0],
-    )
+    return hits.mean(axis=0)
 
 
 def volatility(est: Estimator, scale: float | None = None) -> np.ndarray:

@@ -277,10 +277,10 @@ def test_criterion_08_directional_bounds_and_controls():
     z0 = np.full(n, 100.0)
     actual = 100.0 + rng.standard_normal((n, h))
     perfect = directional_statistic(actual.copy(), actual, z0)
-    perfect_ok = bool(np.all(perfect.per_day == 1.0))
+    perfect_ok = bool(np.all(perfect == 1.0))
     preds = 100.0 + rng.standard_normal((n, h))
     random_rep = directional_statistic(preds, actual, z0)
-    max_dev = float(np.max(np.abs(random_rep.per_day - 0.5)))
+    max_dev = float(np.max(np.abs(random_rep - 0.5)))
     random_ok = max_dev <= 0.05
     bounds_ok = True
     for seed in range(20):
@@ -289,7 +289,7 @@ def test_criterion_08_directional_bounds_and_controls():
             r.standard_normal((50, 3)), r.standard_normal((50, 3)), np.ones(50)
         )
         bounds_ok = bounds_ok and bool(
-            np.all(d.per_day >= 0.0) and np.all(d.per_day <= 1.0)
+            np.all(d >= 0.0) and np.all(d <= 1.0)
         )
     ok = perfect_ok and random_ok and bounds_ok
     record(

@@ -169,9 +169,10 @@ def test_backtest_cell_contents():
             assert res.empirical_mse > 0
             assert res.empirical_mse_price > 0
             assert len(res.empirical_mse_per_day) == 10
-            assert len(res.directional.per_day) == 10
+            assert len(res.directional_per_day) == 10
             assert len(res.volatility) == 10
-            assert all(0.0 <= d <= 1.0 for d in res.directional.per_day)
+            assert all(0.0 <= d <= 1.0 for d in res.directional_per_day)
+            assert res.directional_mean == pytest.approx(res.directional_per_day.mean())
         # the unconditional estimator never beats conditioning in theory
         assert report.cells[0].results["gb"].theoretical_mse <= (
             report.cells[0].results["unc"].theoretical_mse + 1e-12
@@ -217,7 +218,8 @@ def test_backtest_single_test_row_completes():
     assert not cell.skipped
     for res in cell.results.values():
         assert np.isfinite(res.empirical_mse)
-        assert res.directional.n_samples == 1
+        # one test row: every day's directional score is a single 0 or 1
+        assert set(res.directional_per_day.tolist()) <= {0.0, 1.0}
 
 
 def test_emit_report_with_no_cells(tmp_path):
@@ -319,3 +321,48 @@ def test_summary_json_is_canonical(tmp_path):
     ).read_bytes()
     text = (tmp_path / "a" / "summary.json").read_text()
     assert text.endswith("\n")
+
+
+SUMMARY_CONFIG_KEYS = {"m_values", "horizon", "condition_caps", "n_test", "objective"}
+SUMMARY_CELL_KEYS = {
+    "M", "cap", "skipped", "reason", "best_L", "cond_yy", "cond_ww", "gb_error", "results",
+}
+SUMMARY_RESULT_KEYS = {
+    "method", "theoretical_mse", "bias_sq", "variance", "empirical_mse",
+    "empirical_mse_per_day", "empirical_mse_price", "directional_per_day",
+    "directional_mean", "volatility", "cond", "subspace_dim",
+}
+
+
+def test_summary_json_schema(tmp_path):
+    # the key set at every level is the output format: M=290 has too few
+    # windows and is skipped; 110 and 12 pin the string keys' canonical order
+    series = to_series(gbm_prices(300, 4))
+    sweep = SweepConfig(m_values=(12, 110, 290), horizon=5, condition_caps=(1e6,), n_test=40)
+    emit_report(run_backtest(series, sweep), str(tmp_path))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["cells", "config", "l_curves"]
+    assert set(summary["config"]) == SUMMARY_CONFIG_KEYS
+    assert summary["config"]["m_values"] == [12, 110, 290]
+    assert summary["config"]["condition_caps"] == [1e6]
+
+    ran_12, ran_110, skipped = summary["cells"]
+    for cell in summary["cells"]:
+        assert set(cell) == SUMMARY_CELL_KEYS
+    assert skipped["skipped"] and "windows" in skipped["reason"]
+    assert skipped["results"] == {} and skipped["best_L"] is None
+    for cell in (ran_12, ran_110):
+        assert not cell["skipped"] and cell["reason"] is None
+        assert set(cell["results"]) == {"unc", "gb", "rd"}
+        for method, result in cell["results"].items():
+            assert set(result) == SUMMARY_RESULT_KEYS
+            assert result["method"] == method
+            for key in ("empirical_mse_per_day", "directional_per_day", "volatility"):
+                assert len(result[key]) == 5 and all(isinstance(v, float) for v in result[key])
+
+    assert list(summary["l_curves"]) == ["110", "12"]
+    for m, curve in summary["l_curves"].items():
+        assert [point[0] for point in curve] == list(range(1, int(m)))
+        for point in curve:
+            assert len(point) == 3 and isinstance(point[0], int)
+            assert all(isinstance(v, float) for v in point[1:])

@@ -64,6 +64,17 @@ def test_forecast_table(price_csv):
     assert all(r[2] > 0 for r in rows)        # so do the reported stds
 
 
+def test_forecast_output_does_not_depend_on_how_the_path_is_spelled(price_csv):
+    folder, name = os.path.split(price_csv)
+    runs = [
+        run_cli("forecast", "--csv", path, "--m", "30")
+        for path in (price_csv, os.path.join(folder, ".", name))
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.startswith("ticker: prices.csv\n")
+
+
 def test_forecast_rd_reports_subspace(price_csv):
     proc = run_cli("forecast", "--csv", price_csv, "--m", "30", "--method", "rd",
                    "--cap", "1e4")

@@ -30,7 +30,7 @@ def test_load_csv_happy_path(tmp_path):
     assert len(series) == 3
     assert series.dates[0] == "2000-01-03"
     assert_allclose(series.prices, [100.0, 101.5, 99.25])
-    assert series.ticker == path  # defaults to the file name
+    assert series.ticker == "t.csv"  # the file name, not the path
 
 
 def test_load_csv_without_header(tmp_path):

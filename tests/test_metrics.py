@@ -1,5 +1,6 @@
 """Closed-form MSE, bias/variance split, empirical scores, directional stat."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,9 @@ from subspace_forecast import (
     volatility,
 )
 
+from conftest import gbm_prices, smooth_prices
+from test_subspace_ladder import EPS, sweep_model
+
 
 def random_model(dim, m, seed):
     rng = np.random.default_rng(seed)
@@ -33,6 +37,32 @@ def test_theoretical_mse_on_worked_example():
     ident = CovarianceModel.from_matrix(np.eye(5), m=2)
     assert theoretical_mse(ident, fit_unconditional(ident)) == pytest.approx(3.0)
     assert theoretical_mse(ident, fit_gauss_bayes(ident)) == pytest.approx(3.0)
+
+
+def mp_gb_mse(model):
+    """gb's MSE, ``trace(sigma_zz - sigma_zy inv(sigma_yy) sigma_yz)``, at 50
+    significant digits, taking the float64 model as exact."""
+    with mpmath.workdps(50):
+        sigma_zy = mpmath.matrix(model.sigma_zy.tolist())
+        gain = sigma_zy * mpmath.inverse(mpmath.matrix(model.sigma_yy.tolist())) * sigma_zy.T
+        return mpmath.fsum(model.sigma_zz[i, i] - gain[i, i] for i in range(model.horizon))
+
+
+@pytest.mark.parametrize(
+    "prices, m_days", [(smooth_prices, 20), (smooth_prices, 80), (gbm_prices, 80)]
+)
+def test_gb_theoretical_mse_is_stationary_in_the_coefficients_rounding(prices, m_days):
+    # cond(sigma_yy) is 1.4e5, 4.8e6 and 1.5e4 on these models.  The shorter
+    # trace(sigma_zz) - trace(sigma_zy C') is first-order in the rounding of
+    # C: 6.0e-16 and 3.0e-15 relative on the smooth models.
+    model = sweep_model(prices, m_days)
+    gb = fit_gauss_bayes(model)
+    ref = mp_gb_mse(model)
+    err = lambda value: float(abs((value - ref) / ref))
+    short = float(np.trace(model.sigma_zz)) - float(np.einsum("ij,ij->", model.sigma_zy, gb.coeff))
+    full_err = err(theoretical_mse(model, gb))
+    assert full_err <= 2 * EPS
+    assert full_err <= max(err(short), EPS / 4)
 
 
 def test_theoretical_mse_unconditional_is_future_trace():
@@ -97,15 +127,10 @@ def test_bias_decomposition_reduced_dimension(seed, L):
 def test_empirical_mse_hand_case():
     preds = np.array([[1.0, 2.0], [3.0, 4.0]])
     actual = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = empirical_mse(preds, actual)
-    assert_allclose(out.per_day, [2.0, 5.0])  # mean of squared errors per day
-    assert out.total == pytest.approx(7.0)
-    exact = empirical_mse(preds, preds)
-    assert_allclose(exact.per_day, 0.0)
-    assert exact.total == 0.0
+    assert_allclose(empirical_mse(preds, actual), [2.0, 5.0])  # mean of squared errors per day
+    assert_allclose(empirical_mse(preds, preds), 0.0)
     single = empirical_mse(np.array([[0.0, 0.0]]), np.array([[1.0, 2.0]]))
-    assert_allclose(single.per_day, [1.0, 4.0])
-    assert single.total == pytest.approx(5.0)
+    assert_allclose(single, [1.0, 4.0])
     with pytest.raises(ValueError):
         empirical_mse(preds, actual[:1])
 
@@ -114,11 +139,9 @@ def test_directional_statistic_controls():
     z0 = np.array([10.0, 10.0, 10.0])
     actual = np.array([[11.0, 9.0], [9.5, 10.5], [12.0, 8.0]])
     perfect = directional_statistic(actual.copy(), actual, z0)
-    assert_allclose(perfect.per_day, 1.0)
+    assert_allclose(perfect, [1.0, 1.0])
     inverted = directional_statistic(20.0 - actual, actual, z0)
-    assert_allclose(inverted.per_day, 0.0)
-    assert perfect.n_samples == 3
-    assert perfect.mean_over_days == pytest.approx(1.0)
+    assert_allclose(inverted, [0.0, 0.0])
 
 
 def test_directional_statistic_counts_ties_as_misses():
@@ -126,11 +149,10 @@ def test_directional_statistic_counts_ties_as_misses():
     actual = np.array([[11.0, 9.0]])
     flat = np.array([[10.0, 12.0]])  # day 1 prediction sits exactly at z0
     out = directional_statistic(flat, actual, z0)
-    assert_allclose(out.per_day, [0.0, 0.0])
+    assert_allclose(out, [0.0, 0.0])
     # agreement only needs the side to match, not the magnitude
     agree = directional_statistic(np.array([[12.0, 8.0]]), actual, z0)
-    assert_allclose(agree.per_day, [1.0, 1.0])
-    assert agree.mean_over_days == pytest.approx(1.0)
+    assert_allclose(agree, [1.0, 1.0])
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -142,9 +164,9 @@ def test_directional_statistic_bounded(seed):
     actual = z0[:, None] * (1.0 + 0.1 * rng.standard_normal((n, h)))
     preds = z0[:, None] * (1.0 + 0.1 * rng.standard_normal((n, h)))
     out = directional_statistic(preds, actual, z0)
-    assert np.all(out.per_day >= 0.0)
-    assert np.all(out.per_day <= 1.0)
-    assert 0.0 <= out.mean_over_days <= 1.0
+    assert out.shape == (h,)
+    assert np.all(out >= 0.0)
+    assert np.all(out <= 1.0)
 
 
 def test_volatility_brownian_exact():

@@ -186,7 +186,7 @@ def check_validation_against_reference(model, val_y, val_z):
     two agree to rounding."""
     check_against_reference(
         model,
-        lambda est: empirical_mse(val_y @ est.coeff.T, val_z).total,
+        lambda est: float(empirical_mse(val_y @ est.coeff.T, val_z).sum()),
         lambda ladder: validation_scores(ladder, val_y, val_z),
         rtol=1e-12,
     )

@@ -103,7 +103,7 @@ def refit_scan(model, cap, val_y, val_z):
         coeff, _, cond = per_size_rd(model, L)
         if cond > cap:
             continue
-        value = empirical_mse(val_y @ coeff.T, val_z).total
+        value = float(empirical_mse(val_y @ coeff.T, val_z).sum())
         if value < best_value:
             best, best_value = L, value
     return best, best_value
@@ -184,9 +184,9 @@ def mp_reference(model, L):
         return mse, eig[-1] / eig[0]
 
 
-def smooth_model(m_days):
-    """The sweep's full-train model of ``smooth_prices(5000, 1000)``."""
-    series = to_series(smooth_prices(5000, 1000))
+def sweep_model(prices, m_days):
+    """The sweep's full-train model of ``prices(5000, 1000)``."""
+    series = to_series(prices(5000, 1000))
     n = m_days + 10
     windows = build_hankel(series, n, len(series) - n + 1)
     data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
@@ -203,7 +203,7 @@ def smooth_model(m_days):
     ],
 )
 def test_ladder_is_at_least_as_accurate_as_the_gram_path(case, sizes, pinned_model):
-    model = pinned_model if case == "pinned" else smooth_model(80)
+    model = pinned_model if case == "pinned" else sweep_model(smooth_prices, 80)
     curve = build_l_curve(SubspaceLadder(model))
     for L in sizes:
         ref_mse, ref_cond = mp_reference(model, L)
@@ -233,7 +233,7 @@ def product_form_cond_ww(ladder, L):
     [("pinned", (1, 5, 10, 20)), ("smooth M=80", (10, 28, 40, 50, 60))],
 )
 def test_cond_ww_is_within_the_rounding_of_the_product_form(case, sizes, pinned_model):
-    model = pinned_model if case == "pinned" else smooth_model(80)
+    model = pinned_model if case == "pinned" else sweep_model(smooth_prices, 80)
     ladder = SubspaceLadder(model)
     err = lambda value, ref: float(abs((value - ref) / ref))
     for L in sizes:
@@ -252,7 +252,7 @@ def test_singular_cutoff_stays_on_the_cond_ww_scale():
     # at L = 19 of the smooth M = 20 model cond(Y_L) is about 8e7, so
     # cond_ww is about 6.4e15: past 1 / SINGULARITY_RTOL, where the product
     # form's spectral_condition returned inf.  The size still has a fit.
-    point = build_l_curve(SubspaceLadder(smooth_model(20)))[18]
+    point = build_l_curve(SubspaceLadder(sweep_model(smooth_prices, 20)))[18]
     assert point.L == 19
     assert np.isinf(point.cond_ww)
     assert np.isfinite(point.mse_rd)

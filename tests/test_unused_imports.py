@@ -1,5 +1,6 @@
-"""Every import in the package, the tests and the scripts is used, and
-every name a package module exports exists.
+"""Every import in the package, the tests and the scripts is used, every
+name a package module exports exists, and every name the README imports
+from the package exists.
 
 A standard-library AST scan stands in for a linter: a name bound by an
 ``import`` must be read somewhere in the same module, or be listed in its
@@ -10,7 +11,10 @@ deleted name cannot stay exported.
 """
 
 import ast
+import re
 from pathlib import Path
+
+import subspace_forecast
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(
@@ -63,6 +67,16 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in exported(tree) if name not in bound]
 
 
+def readme_imports(text: str) -> list[str]:
+    """Names that the README's python blocks import from the package."""
+    names = []
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "subspace_forecast":
+                names += [alias.name for alias in node.names]
+    return names
+
+
 def test_the_scan_sees_the_modules():
     names = {p.name for p in SCANNED}
     assert {"estimators.py", "test_unused_imports.py", "make_synthetic_prices.py"} <= names
@@ -97,3 +111,9 @@ def test_no_unused_imports():
         if unused:
             found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_every_readme_import_exists():
+    names = readme_imports((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert {"run_backtest", "SubspaceLadder", "mc_bias"} <= set(names)
+    assert [name for name in names if not hasattr(subspace_forecast, name)] == []
