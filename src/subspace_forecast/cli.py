@@ -10,6 +10,7 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -154,6 +155,10 @@ def build_parser() -> _Parser:
                              "(harness self-test; verification must fail)")
     verify.set_defaults(func=cmd_verify)
     return parser
+
+
+# argparse trees hold no per-call state; one per process serves every main()
+_parser = functools.cache(build_parser)
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
@@ -344,8 +349,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     _log_config(args)
     try:
         return args.func(args)

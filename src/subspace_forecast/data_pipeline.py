@@ -15,10 +15,12 @@ the dropped column) and a future block (the remaining ``N - M`` days).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import compress, count, repeat
+from operator import eq, lt
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,7 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """End-of-day closing prices for one ticker, in calendar order."""
+    """End-of-day closing prices for one ticker, in calendar order.
+
+    ``dates`` must be strictly increasing (as strings, which is calendar
+    order for ISO dates); it is checked in one pass, and the first pair out
+    of order is named only when the check fails.
+    """
 
     ticker: str
     dates: tuple[str, ...]
@@ -53,9 +60,9 @@ class PriceSeries:
             raise ValueError("dates and prices must be 1-d and equally long")
         if prices.size and (not np.all(np.isfinite(prices)) or np.any(prices <= 0)):
             raise DomainError(f"prices for {self.ticker!r} must be finite and strictly positive")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise DomainError(f"dates must be strictly increasing, got {a!r} before {b!r}")
+        if not all(map(lt, self.dates, self.dates[1:])):
+            a, b = next((a, b) for a, b in zip(self.dates, self.dates[1:]) if a >= b)
+            raise DomainError(f"dates must be strictly increasing, got {a!r} before {b!r}")
 
     def __len__(self) -> int:
         return self.prices.shape[0]
@@ -132,59 +139,96 @@ def load_csv(path: str) -> PriceSeries:
     Parameters
     ----------
     path:
-        CSV file with one ``YYYY-MM-DD,price`` pair per line.  A single
-        ``date,close`` header line is permitted.  Rows may appear in any
-        order; the result is sorted by date.
+        UTF-8 text (a leading byte-order mark is dropped) with one
+        ``YYYY-MM-DD,price`` pair per line.  Blank lines are skipped, and a
+        ``date,close`` header is permitted on line 1 only.  Rows may appear in
+        any order; the result is sorted by date.
+
+    The file is parsed by columns: every line is stripped, every row split at
+    its one comma, and the date and price columns are each parsed in one
+    pass.  Each check runs on the rows before the first row that failed the
+    checks ahead of it (columns, date, price text, price domain), so the
+    error names the first bad line and its first failed check, as a
+    line-by-line reader would.
 
     Raises
     ------
     ParseError
-        Malformed line (message names the line number).
+        Text that is not UTF-8, or a malformed line (the message names the
+        line number).
     DomainError
         Non-positive or non-finite price, or duplicate dates.
     InsufficientDataError
         Fewer than two data rows.
     """
-    dates: list[str] = []
-    prices: list[float] = []
-    linenos: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if lineno == 1 and text.lower().replace(" ", "") == "date,close":
-                continue
-            token, comma, rest = text.partition(",")
-            if not comma or "," in rest:
-                raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
-            token = token.strip()
-            try:
-                _date.fromisoformat(token)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
-            try:
-                price = float(rest)
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: bad price {rest.strip()!r}") from exc
-            if not math.isfinite(price) or price <= 0:
-                raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
-            dates.append(token)
-            prices.append(price)
-            linenos.append(lineno)
-    if len(dates) < 2:
-        raise InsufficientDataError(f"{path}: need at least 2 data rows, got {len(dates)}")
-    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: ties keep file order
-    for i, j in zip(order, order[1:]):
-        if dates[i] == dates[j]:
-            raise DomainError(
-                f"{path}: duplicate date {dates[i]} (lines {linenos[i]} and {linenos[j]})"
-            )
-    return PriceSeries(
-        ticker=Path(path).name,
-        dates=tuple([dates[i] for i in order]),
-        prices=np.array(prices, dtype=float)[order],
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            lineno = len((exc.object[: exc.start] + b"?").splitlines())
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+    lines = list(map(str.strip, text.split("\n")))
+    if lines[0].lower().replace(" ", "") == "date,close":  # a header on line 1 only
+        lines[0] = ""
+    rows = list(filter(None, lines))
+    # n: how many leading rows pass every check so far
+    commas = list(map(str.count, rows, repeat(",")))
+    n = len(rows) if commas.count(1) == len(rows) else next(
+        i for i, c in enumerate(commas) if c != 1
     )
+    fields = ",".join(rows[:n]).split(",") if n else []
+    dates = list(map(str.strip, fields[0::2]))
+    n = len(_parse_prefix(_date.fromisoformat, dates))
+    prices = np.array(_parse_prefix(float, fields[1 : 2 * n : 2]), dtype=float)
+    ok = np.isfinite(prices) & (prices > 0)
+    n = len(prices) if ok.all() else int(np.argmin(ok))
+    if n < len(rows):
+        _raise_row_error(path, list(compress(count(1), lines))[n], rows[n])
+    if n < 2:
+        raise InsufficientDataError(f"{path}: need at least 2 data rows, got {n}")
+    if not all(map(lt, dates, dates[1:])):
+        order = sorted(range(n), key=dates.__getitem__)  # stable: ties keep file order
+        dates = [dates[i] for i in order]
+        same = list(map(eq, dates, dates[1:]))
+        if True in same:
+            k = same.index(True)
+            linenos = list(compress(count(1), lines))
+            raise DomainError(
+                f"{path}: duplicate date {dates[k]} "
+                f"(lines {linenos[order[k]]} and {linenos[order[k + 1]]})"
+            )
+        prices = prices[order]
+    return PriceSeries(ticker=Path(path).name, dates=dates, prices=prices)
+
+
+def _parse_prefix(parse, texts: list[str]) -> list:
+    """``parse`` applied to ``texts`` up to the first one it rejects with ``ValueError``."""
+    try:
+        return list(map(parse, texts))
+    except ValueError:
+        done = []
+        for text in texts:
+            try:
+                done.append(parse(text))
+            except ValueError:
+                return done
+
+
+def _raise_row_error(path: str, lineno: int, text: str) -> NoReturn:
+    """Raise the error of the first check that the stripped data row ``text`` fails."""
+    token, comma, rest = text.partition(",")
+    if not comma or "," in rest:
+        raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
+    token = token.strip()
+    try:
+        _date.fromisoformat(token)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
+    try:
+        price = float(rest)
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: bad price {rest.strip()!r}") from exc
+    raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
 
 
 def build_hankel(series: PriceSeries, N: int, K: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, output shapes, logging, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspace_forecast import WindowConfig, build_hankel, load_csv, normalize_and_center
+from subspace_forecast import WindowConfig, build_hankel, cli, load_csv, normalize_and_center
 
 from conftest import gbm_prices, smooth_prices, write_price_csv
 
@@ -166,6 +168,14 @@ def test_malformed_csv_is_a_data_error(tmp_path):
     assert ":3:" in proc.stderr  # the offending line is named
 
 
+def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
+    p = tmp_path / "bad_enc.csv"
+    p.write_bytes(b"date,close\n2001-01-02,10.0\n2001-01-03,1\xe9\n")
+    proc = run_cli("forecast", "--csv", str(p), "--m", "2", "--h", "1", "--method", "unc")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {p}:3: not UTF-8 text: ")
+
+
 def test_short_series_is_a_data_error(tmp_path):
     p = write_price_csv(tmp_path / "short.csv", gbm_prices(20, 0))
     proc = run_cli("forecast", "--csv", p, "--m", "30")
@@ -274,6 +284,39 @@ def test_verify_split_without_a_covariance_csv_is_usage_error():
     assert proc.returncode == 1  # the built-in fixture's split is fixed
     assert "--split needs --cov-csv" in proc.stderr
     assert "checks" not in proc.stdout
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_leaks_no_state_between_calls(price_csv, monkeypatch):
+    monkeypatch.setenv("SUBSPACE_FORECAST_LOG", "info")  # the resolved config is compared too
+    forecast = ("forecast", "--csv", price_csv, "--m", "30")
+    calls = [
+        (*forecast, "--cap", "0.5"),
+        forecast,
+        (*forecast, "--l", "5"),
+        (*forecast, "--method", "gb", "--l", "5"),
+        ("--help",),
+        ("sweep", "--csv", price_csv, "--m-list", "20", "--caps", "1e3", "--n-test", "100"),
+        (*forecast, "--cap", "0.5"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_in_process(argv))
+    assert [code for code, _, _ in fresh] == [3, 0, 0, 1, 0, 0, 3]
+    cli._parser.cache_clear()
+    assert [run_in_process(argv) for argv in calls] == fresh
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_log_levels_route_to_stderr(price_csv):

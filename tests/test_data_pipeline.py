@@ -1,5 +1,9 @@
 """Ingestion, window construction, and the normalize/center/invert cycle."""
 
+import math
+from datetime import date as _date, timedelta
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +118,16 @@ def iso_error(token):
     return str(info.value)
 
 
+def utf8_error(data):
+    """The message the UTF-8 codec gives for ``data``."""
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8")
+    return str(info.value)
+
+
+NOT_UTF8 = b"date,close\n2001-01-02,10.0\n2001-01-03,1\xe9\n"
+
+
 # (file text, exception type, message after "<path>"); a line's checks run
 # column count, date, price parse, price domain, and the earliest bad line
 # wins; duplicate dates and the row count are checked after the last line
@@ -171,6 +185,7 @@ MALFORMED = {
     "parse fault before duplicate": (
         "2001-01-02,1.0\n2001-01-02,2.0\n2001-01-03,x\n", ParseError, ":3: bad price 'x'"
     ),
+    "not UTF-8": (NOT_UTF8, ParseError, f":3: not UTF-8 text: {utf8_error(NOT_UTF8)}"),
 }
 
 
@@ -178,11 +193,131 @@ MALFORMED = {
 def test_load_csv_malformed_files(case, tmp_path):
     text, exc_type, message = MALFORMED[case]
     p = tmp_path / "bad.csv"
-    p.write_text(text)
+    p.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(exc_type) as info:
         load_csv(str(p))
     assert type(info.value) is exc_type
     assert str(info.value) == f"{p}{message}"
+
+
+PLAIN = "date,close\n2001-01-02,10.0\n2001-01-04,11.5\n2001-01-03,9.25\n"
+
+# (file bytes that must load to the same series as PLAIN)
+EQUIVALENT = {
+    "utf-8 byte-order mark": b"\xef\xbb\xbf" + PLAIN.encode(),
+    "byte-order mark, no header": b"\xef\xbb\xbf" + PLAIN.encode().split(b"\n", 1)[1],
+    "crlf endings": PLAIN.replace("\n", "\r\n").encode(),
+    "padded fields and blank lines": b"  date , close \n\n 2001-01-02 , 10.0\n \t\n"
+                                     b"2001-01-04,11.5 \n2001-01-03,  9.25",
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENT))
+def test_load_csv_reads_variants_as_the_plain_file(case, tmp_path):
+    (tmp_path / "plain").mkdir()
+    plain = tmp_path / "plain" / "t.csv"
+    plain.write_text(PLAIN)
+    variant = tmp_path / "t.csv"
+    variant.write_bytes(EQUIVALENT[case])
+    want, got = load_csv(str(plain)), load_csv(str(variant))
+    assert (got.ticker, got.dates) == (want.ticker, want.dates)
+    assert got.prices.tobytes() == want.prices.tobytes()
+    assert got.dates == ("2001-01-02", "2001-01-03", "2001-01-04")
+
+
+def reference_load_csv(path: str) -> PriceSeries:
+    """The line-by-line reader that the column parser replaced, kept verbatim."""
+    dates: list[str] = []
+    prices: list[float] = []
+    linenos: list[int] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if lineno == 1 and text.lower().replace(" ", "") == "date,close":
+                continue
+            token, comma, rest = text.partition(",")
+            if not comma or "," in rest:
+                raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
+            token = token.strip()
+            try:
+                _date.fromisoformat(token)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
+            try:
+                price = float(rest)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad price {rest.strip()!r}") from exc
+            if not math.isfinite(price) or price <= 0:
+                raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
+            dates.append(token)
+            prices.append(price)
+            linenos.append(lineno)
+    if len(dates) < 2:
+        raise InsufficientDataError(f"{path}: need at least 2 data rows, got {len(dates)}")
+    order = sorted(range(len(dates)), key=dates.__getitem__)  # stable: ties keep file order
+    for i, j in zip(order, order[1:]):
+        if dates[i] == dates[j]:
+            raise DomainError(
+                f"{path}: duplicate date {dates[i]} (lines {linenos[i]} and {linenos[j]})"
+            )
+    return PriceSeries(
+        ticker=Path(path).name,
+        dates=tuple([dates[i] for i in order]),
+        prices=np.array(prices, dtype=float)[order],
+    )
+
+
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+_DAY = st.integers(0, 40).map(lambda k: (_date(2001, 1, 1) + timedelta(k)).isoformat())
+_PRICE = st.one_of(
+    st.floats(1e-6, 1e6).map(repr),
+    st.decimals("0.01", "999.99", places=2).map(str),
+    st.sampled_from(["1e2", "+7", "0012.50", "1_000.5"]),
+)
+_VALID = st.builds(lambda a, d, b, c, p, e: f"{a}{d}{b},{c}{p}{e}",
+                   _PAD, _DAY, _PAD, _PAD, _PRICE, _PAD)
+_BLANK = st.sampled_from(["", "   ", "\t"])
+_HEADER = st.sampled_from(["date,close", "DATE, close", " date,close "])
+_MALFORMED = st.sampled_from([
+    "2001-01-02 10.0", "2001-01-02,1,2", ",", "a,b,c", "2001-13-40,1.0", "20010102,1.0",
+    "2001-02-30,x", "2001-01-02,abc", "2001-01-02,", "2001-01-02,-1", "2001-01-02,0",
+    "2001-01-02,nan", "2001-01-02,-inf", "2001-01-02,1e999",
+])
+
+
+@st.composite
+def price_files(draw):
+    """File text: valid rows (padded), blank lines, a header on line 1 or
+    elsewhere, up to two malformed rows, mixed line endings."""
+    lines = draw(st.lists(st.one_of(_VALID, _VALID, _VALID, _BLANK), max_size=25))
+    inserts = [_HEADER] * draw(st.sampled_from([0, 0, 0, 1]))
+    inserts += [_MALFORMED] * draw(st.sampled_from([0, 0, 1, 2]))
+    for kind in inserts:
+        lines.insert(draw(st.integers(0, len(lines))), draw(kind))
+    if draw(st.booleans()):
+        lines.insert(0, draw(_HEADER))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _outcome(load, path):
+    try:
+        series = load(path)
+    except ValueError as exc:  # every load_csv error is one
+        return type(exc), str(exc)
+    return series.ticker, series.dates, series.prices.tobytes()
+
+
+@given(text=price_files())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_the_line_by_line_reader(text, tmp_path_factory):
+    p = tmp_path_factory.mktemp("prop") / "p.csv"
+    p.write_bytes(text.encode())
+    assert _outcome(load_csv, str(p)) == _outcome(reference_load_csv, str(p))
 
 
 # ------------------------------------------------------------- PriceSeries
@@ -194,6 +329,8 @@ def test_price_series_validation():
         PriceSeries("x", ("2001-01-02", "2001-01-03"), np.array([1.0, np.nan]))
     with pytest.raises(DomainError, match="strictly increasing"):
         PriceSeries("x", ("2001-01-03", "2001-01-02"), np.array([1.0, 2.0]))
+    with pytest.raises(DomainError, match="got '2001-01-03' before '2001-01-03'"):
+        PriceSeries("x", ("2001-01-02", "2001-01-03", "2001-01-03"), np.ones(3))
     with pytest.raises(ValueError):
         PriceSeries("x", ("2001-01-02",), np.array([1.0, 2.0]))
 
