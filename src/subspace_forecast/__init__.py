@@ -22,16 +22,7 @@ from .backtest import (
     validation_scores,
 )
 from .covariance_model import CovarianceModel, dump_covariance_csv, empirical_covariance
-from .data_pipeline import (
-    DataMatrix,
-    PriceSeries,
-    WindowConfig,
-    build_hankel,
-    denormalize_forecast,
-    load_csv,
-    normalize_and_center,
-    split_train_test,
-)
+from .data_pipeline import DataMatrix, PriceSeries, centered_windows, denormalize_forecast, load_csv
 from .errors import (
     DataError,
     DomainError,

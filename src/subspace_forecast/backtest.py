@@ -1,12 +1,13 @@
 """Grid experiments over observation length and condition cap.
 
 For every requested observation length ``M`` the full price history is cut
-into windows, split chronologically into train and test rows, and all three
-estimators are fitted on the training covariance.  For every condition cap
-the reduced-dimension subspace size is the first size, in ``(score, L)``
-order, whose filtered covariance stays within the cap: the best score among
-the feasible sizes, ties to the smaller one.  The score is the closed-form
-reduced-dimension MSE by default, held-out validation MSE optionally.
+into windows, split chronologically into train and test rows, centered on
+the training rows, and all three estimators are fitted on the training
+covariance.  For every condition cap the reduced-dimension subspace size is
+the first size, in ``(score, L)`` order, whose filtered covariance stays
+within the cap: the best score among the feasible sizes, ties to the smaller
+one.  The score is the closed-form reduced-dimension MSE by default,
+held-out validation MSE optionally.
 
 Results are collected per (M, cap) cell and can be serialized as a fixed set
 of CSV files plus a ``summary.json``, whose keys are the records' own field
@@ -26,15 +27,8 @@ import numpy as np
 from . import metrics
 from ._linalg import spectral_condition
 from .covariance_model import CovarianceModel, empirical_covariance
-from .data_pipeline import (
-    DataMatrix,
-    PriceSeries,
-    WindowConfig,
-    build_hankel,
-    normalize_and_center,
-    split_train_test,
-)
-from .errors import IllConditionedError, NoFeasibleSubspaceError
+from .data_pipeline import DataMatrix, PriceSeries, centered_windows
+from .errors import IllConditionedError, InsufficientDataError, NoFeasibleSubspaceError
 from .estimators import (
     METHOD_GB,
     METHOD_RD,
@@ -282,38 +276,38 @@ def _evaluate_method(
 def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
     """Fit and score all three estimators over the (M, cap) grid.
 
-    Cells that cannot run (series too short for the window count, or no
-    feasible subspace under the cap) are recorded as skipped with a reason;
-    the run continues.  The computation is deterministic in (series, sweep).
+    Cells that cannot run (series too short for the window count or for the
+    validation split, or no feasible subspace under the cap) are recorded as
+    skipped with a reason; the run continues.  The computation is
+    deterministic in (series, sweep).
     """
     cells: list[CellReport] = []
     curves: dict[int, list[LCurvePoint]] = {}
     for m_days in sweep.m_values:
-        n = m_days + sweep.horizon
-        k_avail = len(series) - n + 1
-        if k_avail < sweep.n_test + 2:
-            reason = (
-                f"needs at least {sweep.n_test + 2} windows of {n} days, "
-                f"series provides {max(k_avail, 0)}"
-            )
+        try:
+            train, test = centered_windows(series, m_days, sweep.horizon, sweep.n_test)
+            if sweep.objective == OBJECTIVE_VALIDATION:
+                # the newest fifth of the training rows scores the sizes of a
+                # model of the rest, once per M
+                n_train = train.n_samples
+                try:
+                    sub_train, val = centered_windows(
+                        series, m_days, sweep.horizon, max(1, n_train // 5), n_train
+                    )
+                except InsufficientDataError as exc:
+                    raise InsufficientDataError(f"validation split: {exc}") from exc
+        except InsufficientDataError as exc:
             for cap in sweep.condition_caps:
-                cells.append(CellReport(M=m_days, cap=cap, skipped=True, reason=reason))
+                cells.append(CellReport(M=m_days, cap=cap, skipped=True, reason=str(exc)))
             continue
-        config = WindowConfig(N=n, M=m_days)
-        data = normalize_and_center(build_hankel(series, n, k_avail), config)
-        train, test = split_train_test(data, sweep.n_test)
         model = empirical_covariance(train)
         ladder = SubspaceLadder(model)
         curve = build_l_curve(ladder)
         curves[m_days] = curve
 
-        # the validation objective scores the sizes of a sub-train model,
-        # once per M; no curve, no mse_rd
         mse_scores = [p.mse_rd for p in curve]
         sel_ladder, scores = ladder, mse_scores
         if sweep.objective == OBJECTIVE_VALIDATION:
-            n_val = max(1, train.n_samples // 5)
-            sub_train, val = split_train_test(train, n_val)
             sel_ladder = SubspaceLadder(empirical_covariance(sub_train))
             scores = validation_scores(sel_ladder, val.y_block, val.z_block)
 

@@ -31,14 +31,8 @@ from .backtest import (
     select_L,
 )
 from .covariance_model import CovarianceModel, empirical_covariance
-from .data_pipeline import (
-    WindowConfig,
-    build_hankel,
-    denormalize_forecast,
-    load_csv,
-    normalize_and_center,
-)
-from .errors import DataError, InsufficientDataError, NumericalError
+from .data_pipeline import centered_windows, denormalize_forecast, load_csv
+from .errors import DataError, NumericalError
 from .estimators import (
     METHOD_GB,
     METHOD_RD,
@@ -168,13 +162,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         raise ValueError("--l pins the rd subspace size; it does not combine with --cap")
     series = load_csv(args.csv)
     m, h = args.m, args.horizon
-    config = WindowConfig(N=m + h, M=m)
-    k_avail = len(series) - config.N + 1
-    if k_avail < 2:
-        raise InsufficientDataError(
-            f"forecasting with M={m}, H={h} needs {config.N + 1} prices, have {len(series)}"
-        )
-    data = normalize_and_center(build_hankel(series, config.N, k_avail), config)
+    data, _ = centered_windows(series, m, h)
     model = empirical_covariance(data)
 
     if args.method == METHOD_UNC:
@@ -203,7 +191,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     stds = volatility(est, scale=scale)
 
     print(f"ticker: {series.ticker}")
-    print(f"method: {est.method}   M: {m}   H: {h}   training windows: {k_avail}")
+    print(f"method: {est.method}   M: {m}   H: {h}   training windows: {data.n_samples}")
     if est.method == METHOD_RD:
         print(f"L: {est.subspace_dim}")
         print(f"cond_ww: {est.cond:.6e}")

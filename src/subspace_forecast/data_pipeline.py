@@ -1,13 +1,14 @@
-"""Price ingestion and the normalized, centered window-matrix transform.
+"""Price ingestion and the normalized, centered window matrix.
 
-A daily price series is cut into ``K`` overlapping windows of ``N``
-consecutive closes, stacked as a Hankel matrix (one-day shift between rows).
-Each window is divided by its own day-``M`` price (its newest observed
-close), the per-column mean of the resulting ratio matrix is subtracted, and
-the day-``M`` column (identically 1 after scaling, identically 0 after
-centering) is dropped.  The stored scales and column means invert the
-transform, so forecasts made in the centered ratio domain can be reported in
-price units.
+A daily price series is cut into ``K`` overlapping windows of ``N = M + H``
+consecutive closes, one day apart (the rows of a Hankel matrix).
+:func:`centered_windows` divides each window by its own day-``M`` price (its
+newest observed close) straight into a ``(K, N - 1)`` array, leaving out the
+day-``M`` column (identically 1 after scaling), and subtracts the column
+mean of the rows that train.  A backtest holds out its newest rows before
+centering, so no information flows backward; a forecast trains on every
+row.  The stored scales and column means invert the transform, so forecasts
+made in the centered ratio domain can be reported in price units.
 
 Windows split into an observation block (days ``1 .. M - 1``; day ``M`` is
 the dropped column) and a future block (the remaining ``N - M`` days).
@@ -28,12 +29,9 @@ from .errors import DomainError, InsufficientDataError, ParseError
 
 __all__ = [
     "PriceSeries",
-    "WindowConfig",
     "DataMatrix",
     "load_csv",
-    "build_hankel",
-    "normalize_and_center",
-    "split_train_test",
+    "centered_windows",
     "denormalize_forecast",
 ]
 
@@ -69,41 +67,27 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class WindowConfig:
-    """Window geometry: observe ``M`` days, forecast the next ``N - M``.
-
-    The day-``M`` price (the most recent observed day) scales the window.
-    """
-
-    N: int
-    M: int
-
-    def __post_init__(self):
-        if not 1 <= self.M < self.N:
-            raise ValueError(f"need 1 <= M < N, got M={self.M}, N={self.N}")
-
-
-@dataclass(frozen=True)
 class DataMatrix:
     """Centered price-ratio windows plus everything needed to invert them.
 
-    ``X`` holds one window per row with the day-``M`` column removed; ``mean``
-    is the column-mean vector that was subtracted (same column layout as
-    ``X``); ``scales[i]`` is the day-``M`` price that divided row ``i``.
+    ``X`` holds one window of ``N`` days per row with the day-``M`` column
+    removed; ``mean`` is the column-mean vector that was subtracted (same
+    column layout as ``X``); ``scales[i]`` is the day-``M`` price that
+    divided row ``i``.
     """
 
     X: np.ndarray
     mean: np.ndarray
     scales: np.ndarray
-    config: WindowConfig
+    M: int
 
     def __post_init__(self):
         for name in ("X", "mean", "scales"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if self.X.ndim != 2 or self.X.shape[1] != self.config.N - 1:
-            raise ValueError(f"X must be (K, N-1), got {self.X.shape} for N={self.config.N}")
+        if self.X.ndim != 2 or not 1 <= self.split_m < self.X.shape[1]:
+            raise ValueError(f"X must be (K, N-1) with 2 <= M < N, got {self.X.shape}, M={self.M}")
         if self.mean.shape != (self.X.shape[1],):
             raise ValueError("mean must have one entry per retained column")
         if self.scales.shape != (self.X.shape[0],):
@@ -120,7 +104,7 @@ class DataMatrix:
     @property
     def split_m(self) -> int:
         """Number of observation columns to the left of the future block."""
-        return self.config.M - 1
+        return self.M - 1
 
     @property
     def y_block(self) -> np.ndarray:
@@ -231,78 +215,53 @@ def _raise_row_error(path: str, lineno: int, text: str) -> NoReturn:
     raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
 
 
-def build_hankel(series: PriceSeries, N: int, K: int) -> np.ndarray:
-    """Stack ``K`` windows of ``N`` consecutive prices, shifted one day apart.
+def centered_windows(
+    series: PriceSeries, M: int, H: int, n_test: int = 0, n_windows: int | None = None
+) -> tuple[DataMatrix, DataMatrix]:
+    """Training and held-out blocks of the windows of ``N = M + H`` days.
 
-    Row ``i`` (0-based) is ``prices[i : i + N]``, so equal anti-diagonals of
-    the result hold equal prices.
+    Window ``i`` is ``series.prices[i : i + N]``.  The first ``n_windows``
+    windows (all ``len(series) - N + 1`` by default) are divided by their
+    day-``M`` price straight into one ``(K, N - 1)`` array, slicing past the
+    day-``M`` column, and centered by the column mean of the rows that
+    train: all but the newest ``n_test``.  Returns ``(train, held_out)``;
+    both carry that training mean, and ``held_out`` has ``n_test`` rows.
+    The prices are not scanned again: a :class:`PriceSeries` holds only
+    finite, positive ones.
+
+    Raises ``ValueError`` for ``M < 2`` (day ``M`` is the normalization
+    column, so no observed day would remain), ``H < 1``, a negative
+    ``n_test`` or an ``n_windows`` the series does not hold, and
+    :class:`InsufficientDataError` when fewer than 2 rows would train.
     """
-    if N < 1 or K < 1:
-        raise ValueError(f"need N >= 1 and K >= 1, got N={N}, K={K}")
-    needed = K + N - 1
-    if len(series) < needed:
-        raise InsufficientDataError(
-            f"{series.ticker!r}: Hankel build with K={K}, N={N} needs {needed} prices, "
-            f"series has {len(series)}"
-        )
-    windows = np.lib.stride_tricks.sliding_window_view(series.prices, N)[:K]
-    return np.array(windows, dtype=float)
-
-
-def normalize_and_center(raw: np.ndarray, config: WindowConfig) -> DataMatrix:
-    """Scale each window by its day-``M`` price, remove column means, drop column ``M``.
-
-    Parameters
-    ----------
-    raw:
-        ``(K, N)`` matrix of positive prices, one window per row.
-    config:
-        Window geometry; ``config.N`` must match the column count.
-
-    Returns
-    -------
-    DataMatrix
-        ``X`` of shape ``(K, N - 1)`` with zero column means, plus the
-        subtracted means and the per-row scales.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 2 or raw.shape[1] != config.N:
-        raise ValueError(f"raw windows must be (K, {config.N}), got {raw.shape}")
-    if raw.shape[0] < 1:
-        raise ValueError("need at least one window")
-    q = config.M - 1
-    scales = raw[:, q].copy()
-    if not np.all(np.isfinite(raw)) or np.any(raw <= 0):
-        raise DomainError("window prices must be finite and strictly positive")
-    normalized = raw / scales[:, None]
-    mean_full = normalized.mean(axis=0)
-    centered = normalized - mean_full
-    return DataMatrix(
-        X=np.delete(centered, q, axis=1),
-        mean=np.delete(mean_full, q),
-        scales=scales,
-        config=config,
-    )
-
-
-def split_train_test(data: DataMatrix, n_test: int) -> tuple[DataMatrix, DataMatrix]:
-    """Chronological split: the last ``n_test`` rows become the test set.
-
-    Centering statistics are re-estimated on the training rows only and
-    applied unchanged to the test rows, so no information flows backward.
-    """
-    k = data.n_samples
-    if not 0 < n_test < k:
-        raise ValueError(f"n_test must be in (0, {k}), got {n_test}")
-    normalized = data.X + data.mean
+    if M < 2:
+        raise ValueError(f"--m must be at least 2 (day M is the normalization column), got {M}")
+    if H < 1:
+        raise ValueError(f"--h must be at least 1, got {H}")
+    if n_test < 0:
+        raise ValueError(f"n_test must be >= 0, got {n_test}")
+    n = M + H
+    k = len(series) - n + 1
+    if n_windows is not None:
+        if not 1 <= n_windows <= k:
+            raise ValueError(f"n_windows must be in [1, {k}], got {n_windows}")
+        k = n_windows
     n_train = k - n_test
-    train_mean = normalized[:n_train].mean(axis=0)
-    shared = dict(mean=train_mean, config=data.config)
-    train = DataMatrix(
-        X=normalized[:n_train] - train_mean, scales=data.scales[:n_train], **shared
+    if n_train < 2:
+        raise InsufficientDataError(
+            f"needs at least {n_test + 2} windows of {n} days, got {max(k, 0)}"
+        )
+    windows = np.lib.stride_tricks.sliding_window_view(series.prices, n)[:k]
+    scales = series.prices[M - 1 : M - 1 + k]
+    X = np.empty((k, n - 1))
+    np.divide(windows[:, : M - 1], scales[:, None], out=X[:, : M - 1])
+    np.divide(windows[:, M:], scales[:, None], out=X[:, M - 1 :])
+    mean = X[:n_train].mean(axis=0)
+    X -= mean
+    return (
+        DataMatrix(X[:n_train], mean, scales[:n_train], M),
+        DataMatrix(X[n_train:], mean, scales[n_train:], M),
     )
-    test = DataMatrix(X=normalized[n_train:] - train_mean, scales=data.scales[n_train:], **shared)
-    return train, test
 
 
 def denormalize_forecast(zhat: np.ndarray, mean: np.ndarray, scale: float) -> np.ndarray:

@@ -31,9 +31,8 @@ from subspace_forecast import (
     CovarianceModel,
     SubspaceLadder,
     SweepConfig,
-    WindowConfig,
-    build_hankel,
     build_l_curve,
+    centered_windows,
     denormalize_forecast,
     directional_statistic,
     fit_gauss_bayes,
@@ -41,7 +40,6 @@ from subspace_forecast import (
     geometric_spectrum,
     mc_bias,
     mc_mse,
-    normalize_and_center,
     random_covariance,
     run_backtest,
     squared_bias,
@@ -228,36 +226,32 @@ def test_criterion_07_pipeline_exactness():
         n = m_days + horizon
         n_prices = n + int(rng.integers(4, 40))
         prices = gbm_prices(n_prices, int(rng.integers(0, 2**31)))
-        cfg = WindowConfig(N=n, M=m_days)
         k = n_prices - n + 1
-        raw = build_hankel(to_series(prices), n, k)
-        data = normalize_and_center(raw, cfg)
+        data, _ = centered_windows(to_series(prices), m_days, horizon)
         i = int(rng.integers(0, k))
         back = denormalize_forecast(data.z_block[i], data.mean, float(data.scales[i]))
         cases += 1
-        if not np.allclose(back, raw[i, m_days:], rtol=1e-10, atol=0):
+        if not np.allclose(back, prices[i + m_days : i + n], rtol=1e-10, atol=0):
             failures += 1
     for _ in range(300):
+        # entry (i, j) of the window matrix is prices[i + j]: the scale of
+        # window i when day j + 1 normalizes it
         n_prices = int(rng.integers(8, 50))
-        n_cols = int(rng.integers(2, 7))
+        n_cols = int(rng.integers(3, 7))
         prices = gbm_prices(n_prices, int(rng.integers(0, 2**31)))
         k = n_prices - n_cols + 1
-        h = build_hankel(to_series(prices), n_cols, k)
         i = int(rng.integers(0, k))
-        j = int(rng.integers(0, n_cols))
+        j = int(rng.integers(1, n_cols - 1))
+        data, _ = centered_windows(to_series(prices), j + 1, n_cols - j - 1)
         cases += 1
-        if h[i, j] != prices[i + j]:
+        if data.scales[i] != prices[i + j]:
             failures += 1
     for _ in range(300):
         m_days = int(rng.integers(3, 9))
         n = m_days + int(rng.integers(1, 5))
         n_prices = n + int(rng.integers(6, 60))
-        raw = build_hankel(
-            to_series(gbm_prices(n_prices, int(rng.integers(0, 2**31)))),
-            n,
-            n_prices - n + 1,
-        )
-        data = normalize_and_center(raw, WindowConfig(N=n, M=m_days))
+        series = to_series(gbm_prices(n_prices, int(rng.integers(0, 2**31))))
+        data, _ = centered_windows(series, m_days, n - m_days)
         cases += 1
         if float(np.max(np.abs(data.X.mean(axis=0)))) > 1e-10:
             failures += 1

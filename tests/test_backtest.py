@@ -1,6 +1,7 @@
 """Grid runner: L selection, cell evaluation, report files."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,13 @@ from subspace_forecast import (
     NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
-    WindowConfig,
-    build_hankel,
     build_l_curve,
+    centered_windows,
     emit_report,
     empirical_covariance,
-    normalize_and_center,
     random_covariance,
     run_backtest,
     select_L,
-    split_train_test,
     validation_scores,
 )
 from subspace_forecast._linalg import spectral_condition
@@ -156,6 +154,25 @@ def test_backtest_skips_cells_without_enough_windows():
     assert set(report.l_curves) == {20}
 
 
+def test_validation_split_too_short_skips_only_its_cell():
+    # 40 days, H = 5, 29 test windows: M = 5 leaves 2 training windows, so
+    # the validation split would fit a 1-row sub-train model; M = 4 leaves 3
+    series = to_series(gbm_prices(40, 3))
+    sweep = SweepConfig(m_values=(5, 4), horizon=5, n_test=29, objective=OBJECTIVE_VALIDATION)
+    report = run_backtest(series, sweep)
+    by_m = {}
+    for cell in report.cells:
+        by_m.setdefault(cell.M, []).append(cell)
+    assert [c.reason for c in by_m[5]] == [
+        "validation split: needs at least 3 windows of 10 days, got 2"
+    ] * 2
+    assert all(not c.skipped for c in by_m[4])
+    assert set(report.l_curves) == {4}
+    # the theoretical objective needs no split and reports both
+    theoretical = run_backtest(series, replace(sweep, objective=OBJECTIVE_THEORETICAL))
+    assert not any(c.skipped for c in theoretical.cells)
+
+
 def test_backtest_cell_contents():
     series = to_series(gbm_prices(900, 5))
     sweep = SweepConfig(m_values=(20,), horizon=10, condition_caps=(1e3, 1e4), n_test=200)
@@ -205,8 +222,8 @@ def test_collapse_holds_on_an_ill_conditioned_smooth_series():
 def test_cell_cond_yy_is_the_observation_block_condition_number():
     series = to_series(gbm_prices(900, 5))
     report = run_backtest(series, SweepConfig(m_values=(20,), condition_caps=(1e4,), n_test=200))
-    data = normalize_and_center(build_hankel(series, 30, 871), WindowConfig(N=30, M=20))
-    model = empirical_covariance(split_train_test(data, 200)[0])
+    train, _ = centered_windows(series, 20, 10, 200)
+    model = empirical_covariance(train)
     assert report.cells[0].cond_yy == spectral_condition(model.sigma_yy)
 
 

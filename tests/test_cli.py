@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspace_forecast import WindowConfig, build_hankel, cli, load_csv, normalize_and_center
+from subspace_forecast import centered_windows, cli, load_csv
 
 from conftest import gbm_prices, smooth_prices, write_price_csv
 
@@ -94,9 +94,7 @@ def test_forecast_unc_is_the_rescaled_mean_path(price_csv):
     got = np.array([r[1] for r in parse_forecast_table(proc.stdout)])
 
     series = load_csv(price_csv)
-    cfg = WindowConfig(N=40, M=30)
-    k = len(series) - cfg.N + 1
-    data = normalize_and_center(build_hankel(series, cfg.N, k), cfg)
+    data, _ = centered_windows(series, 30, 10)
     expected = data.mean[-10:] * float(series.prices[-1])
     np.testing.assert_allclose(got, expected, atol=1e-7)
 
@@ -104,6 +102,18 @@ def test_forecast_unc_is_the_rescaled_mean_path(price_csv):
 def test_forecast_invalid_method_is_usage_error(price_csv):
     assert run_cli("forecast", "--csv", price_csv, "--m", "30",
                    "--method", "ols").returncode == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--m", "1"), "--m must be at least 2 (day M is the normalization column), got 1"),
+    (("--m", "20", "--h", "0"), "--h must be at least 1, got 0"),
+    (("--m", "20", "--h", "-3"), "--h must be at least 1, got -3"),
+], ids=["m=1", "h=0", "h=-3"])
+def test_forecast_window_errors_name_the_flags(price_csv, flags, message):
+    code, out, err = run_in_process(("forecast", "--csv", price_csv, *flags))
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: {message}"
+    assert out == ""
 
 
 def test_forecast_l_out_of_range_is_usage_error(price_csv):

@@ -9,11 +9,9 @@ from subspace_forecast import (
     CovarianceModel,
     DomainError,
     InsufficientDataError,
-    WindowConfig,
-    build_hankel,
+    centered_windows,
     dump_covariance_csv,
     empirical_covariance,
-    normalize_and_center,
 )
 from subspace_forecast._linalg import spectral_condition
 
@@ -21,10 +19,7 @@ from conftest import gbm_prices, to_series
 
 
 def make_data(n_prices=80, m_days=6, horizon=3, seed=0):
-    n = m_days + horizon
-    cfg = WindowConfig(N=n, M=m_days)
-    raw = build_hankel(to_series(gbm_prices(n_prices, seed)), n, n_prices - n + 1)
-    return normalize_and_center(raw, cfg)
+    return centered_windows(to_series(gbm_prices(n_prices, seed)), m_days, horizon)[0]
 
 
 def test_empirical_covariance_matches_np_cov():
@@ -43,7 +38,7 @@ def test_empirical_covariance_two_sample_arithmetic():
         X=np.array([[1.0, 0.0], [-1.0, 0.0]]),
         mean=np.zeros(2),
         scales=np.ones(2),
-        config=template.config,
+        M=template.M,
     )
     model = empirical_covariance(data)
     assert_allclose(model.sigma_xx, [[2.0, 0.0], [0.0, 0.0]], atol=0)
@@ -56,7 +51,7 @@ def test_empirical_covariance_needs_two_rows():
         X=data.X[:1],
         mean=data.mean,
         scales=data.scales[:1],
-        config=data.config,
+        M=data.M,
     )
     with pytest.raises(InsufficientDataError):
         empirical_covariance(single)

@@ -8,22 +8,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from subspace_forecast import (
+    DataMatrix,
     DomainError,
     InsufficientDataError,
     ParseError,
     PriceSeries,
-    WindowConfig,
-    build_hankel,
+    centered_windows,
     denormalize_forecast,
     load_csv,
-    normalize_and_center,
-    split_train_test,
 )
 
-from conftest import gbm_prices, to_series, write_price_csv
+from conftest import gbm_prices, smooth_prices, to_series, write_price_csv
 
 
 # ---------------------------------------------------------------- load_csv
@@ -341,76 +339,94 @@ def test_price_series_is_immutable():
         s.prices[0] = 99.0
 
 
-# ------------------------------------------------------------ WindowConfig
+# ------------------------------------------------------- window geometry
+
+def windows_of(prices, n, k):
+    """The first ``k`` windows of ``n`` prices, one per row."""
+    return np.array([prices[i : i + n] for i in range(k)], dtype=float)
+
+
+def uncentered(data):
+    """The price windows a block was made from, day ``M`` left out."""
+    return (data.X + data.mean) * data.scales[:, None]
+
 
 def test_window_config_keeps_valid_geometry():
-    cfg = WindowConfig(N=30, M=20)
-    assert (cfg.N, cfg.M) == (30, 20)
+    train, held_out = centered_windows(to_series(gbm_prices(60, 2)), M=20, H=10)
+    assert (train.M, train.split_m, train.dim, train.n_samples) == (20, 19, 29, 31)
+    assert held_out.X.shape == (0, 29)
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(N=10, M=10),          # M must be < N
-    dict(N=10, M=0),
+    dict(M=10, H=0),           # nothing left to forecast
+    dict(M=0, H=10),
+    dict(M=1, H=10),           # day 1 would scale the window, leaving no observed day
 ])
 def test_window_config_rejects_bad_geometry(kwargs):
-    with pytest.raises(ValueError):
-        WindowConfig(**kwargs)
+    flag = "--h" if kwargs["H"] < 1 else "--m"
+    with pytest.raises(ValueError, match=f"{flag} must be at least"):
+        centered_windows(to_series(gbm_prices(60, 2)), **kwargs)
 
-
-# ------------------------------------------------------------ build_hankel
 
 def test_hankel_shape_and_shift():
     series = to_series(np.arange(1.0, 13.0))
-    h = build_hankel(series, N=5, K=8)
-    assert h.shape == (8, 5)
-    assert_allclose(h[0], [1, 2, 3, 4, 5])
-    assert_allclose(h[1], [2, 3, 4, 5, 6])
+    train, _ = centered_windows(series, M=3, H=2, n_windows=8)
+    assert train.X.shape == (8, 4)
+    assert_array_equal(train.scales, np.arange(3.0, 11.0))
+    assert_allclose(uncentered(train)[0], [1, 2, 4, 5], rtol=1e-15)
+    assert_allclose(uncentered(train)[1], [2, 3, 5, 6], rtol=1e-15)
 
 
 def test_hankel_tiny_cases():
-    three = build_hankel(to_series([1.0, 2.0, 3.0, 4.0, 5.0]), N=3, K=3)
-    assert_allclose(three, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
-    lone = build_hankel(to_series([7.0]), N=1, K=1)
-    assert_allclose(lone, [[7.0]])
+    three, _ = centered_windows(to_series([1.0, 2.0, 3.0, 4.0, 5.0]), M=2, H=1)
+    assert_array_equal(three.scales, [2.0, 3.0, 4.0])
+    assert_allclose(uncentered(three), [[1, 3], [2, 4], [3, 5]], rtol=1e-15)
+    # the fewest windows a covariance can use
+    two, _ = centered_windows(to_series([7.0, 7.0, 7.0, 7.0]), M=2, H=1)
+    assert_array_equal(two.X, [[0.0, 0.0], [0.0, 0.0]])
+    assert_array_equal(two.mean, [1.0, 1.0])
 
 
 def test_hankel_insufficient_data():
-    series = to_series(np.arange(1.0, 7.0))
-    with pytest.raises(InsufficientDataError, match="needs 10 prices"):
-        build_hankel(series, N=5, K=6)
-    with pytest.raises(InsufficientDataError, match="needs 4 prices"):
-        build_hankel(to_series([1.0, 2.0, 3.0]), N=3, K=2)
-    with pytest.raises(ValueError):
-        build_hankel(series, N=0, K=1)
+    series = to_series(np.arange(1.0, 7.0))  # two windows of 5 days
+    with pytest.raises(InsufficientDataError, match="needs at least 3 windows of 5 days, got 2"):
+        centered_windows(series, M=3, H=2, n_test=1)
+    with pytest.raises(InsufficientDataError, match="needs at least 2 windows of 4 days, got 0"):
+        centered_windows(to_series([1.0, 2.0, 3.0]), M=2, H=2)
+    with pytest.raises(ValueError, match=r"n_windows must be in \[1, 2\], got 3"):
+        centered_windows(series, M=3, H=2, n_windows=3)
+    with pytest.raises(ValueError, match="n_test must be >= 0"):
+        centered_windows(series, M=3, H=2, n_test=-1)
 
 
 @given(
-    n_prices=st.integers(min_value=6, max_value=40),
-    n_cols=st.integers(min_value=2, max_value=5),
+    n_prices=st.integers(min_value=7, max_value=40),
+    n_cols=st.integers(min_value=3, max_value=6),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_hankel_anti_diagonal_property(n_prices, n_cols, seed):
-    # every anti-diagonal of a Hankel matrix is constant: entry (i, j)
-    # depends only on i + j
+def test_hankel_anti_diagonal_property(n_prices, n_cols, seed, data):
+    # row i is window i: its scale is the day-M price of the window, and
+    # its ratios times that scale give back prices[i + j] (entry (i, j)
+    # depends only on i + j)
+    m_days = data.draw(st.integers(min_value=2, max_value=n_cols - 1))
     prices = gbm_prices(n_prices, seed)
     k = n_prices - n_cols + 1
-    h = build_hankel(to_series(prices), N=n_cols, K=k)
-    for i in range(k):
-        for j in range(n_cols):
-            assert h[i, j] == prices[i + j]
+    train, _ = centered_windows(to_series(prices), M=m_days, H=n_cols - m_days)
+    assert_array_equal(train.scales, prices[m_days - 1 : m_days - 1 + k])
+    expected = np.delete(windows_of(prices, n_cols, k), m_days - 1, axis=1)
+    assert_allclose(uncentered(train), expected, rtol=1e-13)
 
 
-# --------------------------------------------------- normalize_and_center
+# --------------------------------------------------------- normalization
 
 def test_normalize_drops_day_q_column_and_centers():
-    cfg = WindowConfig(N=4, M=3)  # day 3, column index 2, scales and is dropped
-    raw = np.array([[1.0, 2.0, 4.0, 8.0],
-                    [2.0, 4.0, 8.0, 16.0],
-                    [1.0, 3.0, 2.0, 4.0]])
-    data = normalize_and_center(raw, cfg)
+    prices = [1.0, 2.0, 4.0, 8.0, 3.0, 5.0]
+    data, _ = centered_windows(to_series(prices), M=3, H=1)  # day 3, column 2, is dropped
+    raw = windows_of(prices, 4, 3)
     assert data.X.shape == (3, 3)
-    assert_allclose(data.scales, [4.0, 8.0, 2.0])
+    assert_array_equal(data.scales, [4.0, 8.0, 3.0])
     assert_allclose(data.X.mean(axis=0), 0.0, atol=1e-15)
     # columns of X are price/day-M-price, centered, with day M left out
     ratios = raw / raw[:, 2:3]
@@ -418,38 +434,46 @@ def test_normalize_drops_day_q_column_and_centers():
 
 
 def test_normalize_single_window_arithmetic():
-    # One row: the row mean IS the column mean, so X is exactly zero and
-    # the stored mean holds the scaled ratios of the retained columns.
-    data = normalize_and_center(np.array([[2.0, 4.0, 8.0]]), WindowConfig(N=3, M=2))
-    assert_allclose(data.scales, [4.0])
-    assert_allclose(data.mean, [0.5, 2.0])
-    assert_allclose(data.X, [[0.0, 0.0]])
+    # One held-out window on the training rows' ratio path: the training
+    # mean is that path, so the held-out row centers to exactly zero.  A
+    # single training window is refused, as no covariance has one row.
+    series = to_series([2.0, 4.0, 8.0, 16.0, 32.0])
+    train, held_out = centered_windows(series, M=2, H=1, n_test=1)
+    assert_array_equal(held_out.scales, [16.0])
+    assert_array_equal(held_out.mean, [0.5, 2.0])
+    assert_array_equal(held_out.X, [[0.0, 0.0]])
+    assert_array_equal(train.X, [[0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(InsufficientDataError):
+        centered_windows(series, M=2, H=1, n_test=2)
 
 
 def test_normalize_two_window_arithmetic():
-    cfg = WindowConfig(N=2, M=1)  # M = 1: the first column scales and is dropped
-    proportional = normalize_and_center(np.array([[1.0, 2.0], [3.0, 6.0]]), cfg)
-    assert_allclose(proportional.scales, [1.0, 3.0])
-    assert_allclose(proportional.mean, [2.0])
-    assert_allclose(proportional.X, [[0.0], [0.0]])
+    proportional, _ = centered_windows(to_series([1.0, 2.0, 4.0, 8.0]), M=2, H=1)
+    assert_array_equal(proportional.scales, [2.0, 4.0])
+    assert_array_equal(proportional.mean, [0.5, 2.0])
+    assert_array_equal(proportional.X, [[0.0, 0.0], [0.0, 0.0]])
 
-    spread = normalize_and_center(np.array([[1.0, 2.0], [1.0, 4.0]]), cfg)
-    assert_allclose(spread.mean, [3.0])
-    assert_allclose(spread.X, [[-1.0], [1.0]])
+    spread, _ = centered_windows(to_series([1.0, 1.0, 2.0, 4.0]), M=2, H=1)
+    assert_array_equal(spread.mean, [0.75, 2.0])
+    assert_array_equal(spread.X, [[0.25, 0.0], [-0.25, 0.0]])
 
 
 def test_normalize_rejects_bad_shapes_and_values():
-    cfg = WindowConfig(N=4, M=3)
-    with pytest.raises(ValueError):
-        normalize_and_center(np.ones((3, 5)), cfg)
+    with pytest.raises(ValueError, match="mean must have one entry"):
+        DataMatrix(X=np.ones((3, 5)), mean=np.zeros(4), scales=np.ones(3), M=3)
+    with pytest.raises(ValueError, match="X must be"):
+        DataMatrix(X=np.ones((3, 5)), mean=np.zeros(5), scales=np.ones(3), M=6)
+    with pytest.raises(ValueError, match="X must be"):
+        DataMatrix(X=np.ones((3, 5)), mean=np.zeros(5), scales=np.ones(3), M=1)
+    # prices are checked once, when the series is made
     with pytest.raises(DomainError):
-        normalize_and_center(np.array([[1.0, 2.0, -3.0, 4.0]]), cfg)
+        to_series([1.0, 2.0, -3.0, 4.0])
 
 
 def test_block_views_split_observation_and_future():
-    cfg = WindowConfig(N=6, M=4)  # day 4 dropped -> 5 columns, split at M-1=3
     raw = np.abs(gbm_prices(20, 3))
-    data = normalize_and_center(build_hankel(to_series(raw), 6, 15), cfg)
+    # day 4 dropped -> 5 columns, split at M-1=3
+    data, _ = centered_windows(to_series(raw), M=4, H=2, n_windows=15)
     assert data.split_m == 3
     assert data.y_block.shape == (15, 3)
     assert data.z_block.shape == (15, 2)
@@ -459,10 +483,8 @@ def test_block_views_split_observation_and_future():
 # --------------------------------------------------------- train/test split
 
 def test_split_recenters_on_train_only():
-    cfg = WindowConfig(N=10, M=8)
-    raw = build_hankel(to_series(gbm_prices(120, 9)), 10, 100)
-    data = normalize_and_center(raw, cfg)
-    train, test = split_train_test(data, 30)
+    prices = gbm_prices(120, 9)
+    train, test = centered_windows(to_series(prices), M=8, H=2, n_test=30, n_windows=100)
     assert train.n_samples == 70 and test.n_samples == 30
     # training columns are exactly centered; test columns generally are not
     assert_allclose(train.X.mean(axis=0), 0.0, atol=1e-12)
@@ -470,19 +492,96 @@ def test_split_recenters_on_train_only():
     # both halves carry the same (train-derived) centering vector
     assert_allclose(train.mean, test.mean)
     # undoing the centering recovers the original ratio rows exactly
-    orig_ratio = raw[-1] / raw[-1, cfg.M - 1]
-    assert_allclose(
-        test.X[-1] + test.mean, np.delete(orig_ratio, cfg.M - 1), rtol=1e-12
-    )
+    last = prices[99:109]
+    assert_allclose(test.X[-1] + test.mean, np.delete(last / last[7], 7), rtol=1e-12)
 
 
 def test_split_rejects_degenerate_sizes():
-    cfg = WindowConfig(N=6, M=4)
-    data = normalize_and_center(build_hankel(to_series(gbm_prices(30, 1)), 6, 25), cfg)
+    series = to_series(gbm_prices(30, 1))  # 25 windows of 6 days
     with pytest.raises(ValueError):
-        split_train_test(data, 0)
-    with pytest.raises(ValueError):
-        split_train_test(data, 25)  # no rows would remain for training
+        centered_windows(series, M=4, H=2, n_test=-1)
+    for n_test in (24, 25):  # one, then no row would remain for training
+        with pytest.raises(InsufficientDataError):
+            centered_windows(series, M=4, H=2, n_test=n_test)
+
+
+# The former three-step pipeline, kept as the reference: build_hankel
+# copied the windows; normalize_and_center divided, centered on every row
+# and deleted the day-M column; split_train_test added the mean back and
+# centered again on the training rows.
+
+def reference_normalize_and_center(prices, m_days, n):
+    raw = windows_of(prices, n, len(prices) - n + 1)
+    q = m_days - 1
+    scales = raw[:, q].copy()
+    normalized = raw / scales[:, None]
+    mean_full = normalized.mean(axis=0)
+    centered = normalized - mean_full
+    return np.delete(centered, q, axis=1), np.delete(mean_full, q), scales
+
+
+def reference_split_train_test(block, n_test):
+    X, mean, scales = block
+    normalized = X + mean
+    n_train = X.shape[0] - n_test
+    train_mean = normalized[:n_train].mean(axis=0)
+    return (
+        (normalized[:n_train] - train_mean, train_mean, scales[:n_train]),
+        (normalized[n_train:] - train_mean, train_mean, scales[n_train:]),
+    )
+
+
+@given(
+    kind=st.sampled_from(["gbm", "smooth"]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    n_prices=st.integers(min_value=40, max_value=400),
+    volatility=st.sampled_from([1.0, 4.0]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_direct_centering_matches_the_round_trip(kind, seed, n_prices, volatility, data):
+    """A forecast's blocks are the three-step pipeline's bits.  A sweep's
+    training, test, sub-train and validation blocks are too wherever its
+    round trips ``(x - mean) + mean`` gave back the ratios exactly;
+    elsewhere they differ by the round trips' rounding, within 4 ulp of the
+    column's largest ratio, and the direct blocks are the ones without it."""
+    if kind == "gbm":
+        prices = gbm_prices(n_prices, seed, sigma=0.015 * volatility)
+    else:
+        prices = smooth_prices(n_prices, seed, sigma=0.004 * volatility)
+    m_days = data.draw(st.integers(min_value=2, max_value=n_prices // 4))
+    horizon = data.draw(st.integers(min_value=1, max_value=12))
+    n = m_days + horizon
+    k = n_prices - n + 1
+    n_test = data.draw(st.integers(min_value=1, max_value=k - 3))
+    series = to_series(prices)
+
+    full = reference_normalize_and_center(prices, m_days, n)
+    forecast, _ = centered_windows(series, m_days, horizon)
+    for got, want in zip((forecast.X, forecast.mean, forecast.scales), full):
+        assert_array_equal(got, want)
+
+    ref_train, ref_test = reference_split_train_test(full, n_test)
+    ref_sub, ref_val = reference_split_train_test(ref_train, max(1, ref_train[0].shape[0] // 5))
+    train, test = centered_windows(series, m_days, horizon, n_test)
+    sub, val = centered_windows(series, m_days, horizon, max(1, train.n_samples // 5), k - n_test)
+
+    ratios = np.delete(windows_of(prices, n, k), m_days - 1, axis=1)
+    ratios /= prices[m_days - 1 : m_days - 1 + k, None]
+    exact = np.array_equal(full[0] + full[1], ratios) and np.array_equal(
+        ref_train[0] + ref_train[1], ratios[: k - n_test]
+    )
+    ulp = 4 * np.finfo(float).eps * np.abs(ratios).max(axis=0)
+    for block, (X, mean, scales) in zip(
+        (train, test, sub, val), (ref_train, ref_test, ref_sub, ref_val)
+    ):
+        assert_array_equal(block.scales, scales)
+        if exact:
+            assert_array_equal(block.X, X)
+            assert_array_equal(block.mean, mean)
+        else:
+            assert np.all(np.abs(block.X - X) <= ulp)
+            assert np.all(np.abs(block.mean - mean) <= ulp)
 
 
 # ------------------------------------------------------------- round trips
@@ -499,10 +598,9 @@ def test_normalize_denormalize_round_trip(n_prices, m_days, horizon, seed):
     handed the true centered future block."""
     n = m_days + horizon
     prices = gbm_prices(n_prices, seed)
-    cfg = WindowConfig(N=n, M=m_days)
     k = n_prices - n + 1
-    raw = build_hankel(to_series(prices), n, k)
-    data = normalize_and_center(raw, cfg)
+    raw = windows_of(prices, n, k)
+    data, _ = centered_windows(to_series(prices), m_days, horizon)
     for i in (0, k // 2, k - 1):
         recovered = denormalize_forecast(
             data.z_block[i], data.mean, float(data.scales[i])

@@ -14,29 +14,32 @@ with ``L``.
 """
 
 import functools
+import math
+import tempfile
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_forecast import (
+    OBJECTIVE_THEORETICAL,
     OBJECTIVE_VALIDATION,
     CovarianceModel,
     NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
-    WindowConfig,
-    build_hankel,
     build_l_curve,
+    centered_windows,
     cli,
+    emit_report,
     empirical_covariance,
     empirical_mse,
     metrics,
-    normalize_and_center,
     run_backtest,
     select_L,
-    split_train_test,
     validation_scores,
 )
 from subspace_forecast.backtest import BOUND_MARGIN
@@ -44,6 +47,7 @@ from subspace_forecast.backtest import BOUND_MARGIN
 from conftest import gbm_prices, smooth_prices, to_series, write_price_csv
 from test_backtest import dyadic_model
 from test_estimators import random_model, seeds
+from test_metrics import mp_gb_mse
 from test_subspace_ladder import mp_reference, validation_rows
 
 GENERATORS = {"gbm": gbm_prices, "smooth": smooth_prices}
@@ -53,11 +57,9 @@ SWEEP_M = (20, 50, 80, 110, 140, 170, 200)
 def sweep_split(series, m_days, n_test):
     """The full-train model, the sub-train model and the validation rows of
     a validation sweep's ``M = m_days`` cell on ``series``."""
-    n = m_days + 10
-    windows = build_hankel(series, n, len(series) - n + 1)
-    data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
-    train = split_train_test(data, n_test)[0]
-    sub_train, val = split_train_test(train, max(1, train.n_samples // 5))
+    train, _ = centered_windows(series, m_days, 10, n_test)
+    n_train = train.n_samples
+    sub_train, val = centered_windows(series, m_days, 10, max(1, n_train // 5), n_train)
     return (
         empirical_covariance(train),
         empirical_covariance(sub_train),
@@ -528,3 +530,81 @@ def test_mse_rd_does_not_grow_with_the_subspace(seed, dim, data):
 def test_mse_rd_does_not_grow_with_the_subspace_on_price_series(kind, m_days):
     model = sweep_cell(kind, m_days)[0]
     assert_mse_rd_nonincreasing(build_l_curve(SubspaceLadder(model)))
+
+
+# ------------------------------------------- per-cell invariants, drawn series
+
+@st.composite
+def drawn_sweeps(draw):
+    """A short drawn price series and a one-``M`` sweep over it; half the
+    splits leave 1, 2 or 3 training windows, the skip boundaries of the
+    two objectives."""
+    kind = draw(st.sampled_from(sorted(GENERATORS)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    days = draw(st.integers(300, 1500))
+    m_days = draw(st.integers(2, 30))
+    horizon = draw(st.integers(1, 10))
+    k = days - m_days - horizon + 1
+    n_test = draw(st.integers(1, k - 4) | st.sampled_from([k - 3, k - 2, k - 1]))
+    objective = draw(st.sampled_from([OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION]))
+    sweep = SweepConfig(m_values=(m_days,), horizon=horizon, n_test=n_test, objective=objective)
+    return GENERATORS[kind](days, seed), sweep
+
+
+def mp_le(a, b):
+    """``a <= b`` for 50-digit values, equality within their own rounding."""
+    return a <= b or mpmath.almosteq(a, b, 1e-40)
+
+
+def summary_bytes(report):
+    with tempfile.TemporaryDirectory() as out:
+        emit_report(report, out)
+        return (Path(out) / "summary.json").read_bytes()
+
+
+@given(case=drawn_sweeps())
+@settings(max_examples=30, deadline=None)
+def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
+    """cond_ww within the cap, gb <= rd <= unc in closed form, rd at L = m
+    equal to gb and mse_rd not growing with L, on every cell.  gb is held
+    to them where ``cond_yy`` is finite and the curve between sizes with
+    finite ``cond_ww``: the library's own test of numerical singularity.
+    A comparison float64 fails is decided by the 50-digit values of the
+    float64 model."""
+    prices, sweep = case
+    series = to_series(prices)
+    (m_days,) = sweep.m_values
+    report = run_backtest(series, sweep)
+    assert summary_bytes(report) == summary_bytes(run_backtest(series, sweep))
+
+    n_train = len(series) - m_days - sweep.horizon + 1 - sweep.n_test
+    for cell in report.cells:
+        if n_train < 2:
+            assert cell.reason.startswith("needs at least")
+        elif n_train < 3 and sweep.objective == OBJECTIVE_VALIDATION:
+            assert cell.reason.startswith("validation split: needs at least 3 windows")
+        else:
+            assert not cell.skipped or cell.reason.startswith("no subspace size")
+    cells = [cell for cell in report.cells if not cell.skipped]
+    if not cells:
+        return
+
+    model = empirical_covariance(centered_windows(series, m_days, sweep.horizon, sweep.n_test)[0])
+    mp_rd = functools.cache(lambda size: mp_reference(model, size)[0])
+    mp_gb = functools.cache(lambda: mp_gb_mse(model))
+    mp_unc = mpmath.fsum(np.diag(model.sigma_zz).tolist())
+    curve = report.l_curves[m_days]
+    for cell in cells:
+        assert cell.cond_ww <= cell.cap
+        unc, rd = (cell.results[k].theoretical_mse for k in ("unc", "rd"))
+        assert rd <= unc or mp_le(mp_rd(cell.best_L), mp_unc)
+        if "gb" in cell.results and math.isfinite(cell.cond_yy):
+            gb = cell.results["gb"].theoretical_mse
+            assert gb <= rd or mp_le(mp_gb(), mp_rd(cell.best_L))
+            at_m = curve[-1]
+            if math.isfinite(at_m.cond_ww):
+                assert at_m.mse_rd == gb or mpmath.almosteq(mp_rd(model.m), mp_gb(), 1e-40)
+    regular = [p for p in curve if math.isfinite(p.cond_ww)]
+    for a, b in zip(regular, regular[1:]):
+        rise = (b.mse_rd - a.mse_rd) / np.spacing(a.mse_rd)
+        assert rise <= 4 or mp_le(mp_rd(b.L), mp_rd(a.L)), (a, b)

@@ -17,14 +17,11 @@ from subspace_forecast import (
     Estimator,
     IllConditionedError,
     SubspaceLadder,
-    WindowConfig,
-    build_hankel,
     build_l_curve,
+    centered_windows,
     empirical_covariance,
     empirical_mse,
-    normalize_and_center,
     select_L,
-    split_train_test,
     theoretical_mse,
     validation_scores,
 )
@@ -186,11 +183,8 @@ def mp_reference(model, L):
 
 def sweep_model(prices, m_days):
     """The sweep's full-train model of ``prices(5000, 1000)``."""
-    series = to_series(prices(5000, 1000))
-    n = m_days + 10
-    windows = build_hankel(series, n, len(series) - n + 1)
-    data = normalize_and_center(windows, WindowConfig(N=n, M=m_days))
-    return empirical_covariance(split_train_test(data, 2200)[0])
+    train, _ = centered_windows(to_series(prices(5000, 1000)), m_days, 10, 2200)
+    return empirical_covariance(train)
 
 
 @pytest.mark.parametrize(
