@@ -4,10 +4,11 @@ For every requested observation length ``M`` the full price history is cut
 into windows, split chronologically into train and test rows, centered on
 the training rows, and all three estimators are fitted on the training
 covariance.  For every condition cap the reduced-dimension subspace size is
-the first size, in ``(score, L)`` order, whose filtered covariance stays
-within the cap: the best score among the feasible sizes, ties to the smaller
-one.  The score is the closed-form reduced-dimension MSE by default,
-held-out validation MSE optionally.
+the best-scoring size whose filtered covariance stays within the cap, ties
+to the smaller one.  The score is the closed-form reduced-dimension MSE by
+default, which never grows with the size, so the pick is the largest
+feasible size stepped down across exact ties; optionally it is held-out
+validation MSE, and the sizes are tried in ``(score, L)`` order.
 
 Results are collected per (M, cap) cell and can be serialized as a fixed set
 of CSV files plus a ``summary.json``, whose keys are the records' own field
@@ -25,7 +26,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from ._linalg import spectral_condition
 from .covariance_model import CovarianceModel, empirical_covariance
 from .data_pipeline import DataMatrix, PriceSeries, centered_windows
 from .errors import IllConditionedError, InsufficientDataError, NoFeasibleSubspaceError
@@ -186,36 +186,37 @@ def validation_scores(
 
 
 def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = None) -> int:
-    """Best-scoring subspace size whose ``cond_ww`` meets the cap.
+    """Best-scoring subspace size whose ``cond_ww`` meets the cap, ties to
+    the smaller ``L``.
 
-    ``scores[L - 1]`` is the score of size ``L``, lower is better: the
-    L-curve's ``mse_rd`` or :func:`validation_scores`.  Sizes are tried in
-    ``(score, L)`` order and the first with ``ladder.cond_ww(L) <= cap`` is
-    returned, so the pick is the best feasible score with ties to the smaller
-    ``L``, and ``cond_ww`` is computed only for the sizes tried.  Without
-    ``scores`` the candidates are the sizes whose
-    :meth:`~SubspaceLadder.cond_ww_bounds` entry is at most ``BOUND_MARGIN``
-    times the cap; every other size is provably over the cap.  The
-    candidates are fitted without their SVD, scored by their closed-form
-    MSE and tried in the same order.  Raises
-    :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
+    ``scores[L - 1]`` is the score of size ``L``, lower is better, such as
+    :func:`validation_scores`; sizes are tried in ``(score, L)`` order, with
+    ``cond_ww`` computed only for the sizes tried.  Without ``scores`` the
+    score is the closed-form MSE, which the ladder orders exactly
+    (:meth:`~SubspaceLadder.smallest_tie`): the pick is the largest feasible
+    size stepped down across exact ties, and nothing is fitted or scored.
+    Sizes whose :meth:`~SubspaceLadder.cond_ww_bounds` entry is over
+    ``BOUND_MARGIN`` times the cap are provably over it and get no SVD.
+    Raises :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
     condition number) when no size satisfies the cap, and ``ValueError``
     when the cap is not finite.
     """
     if not math.isfinite(cap):
         raise ValueError(f"condition cap must be finite, got {cap}")
     if scores is None:
-        model = ladder.model
-        score = {
-            l_size: metrics.theoretical_mse(model, ladder._fit(l_size))
-            for l_size, bound in enumerate(ladder.cond_ww_bounds().tolist(), start=1)
-            if bound <= BOUND_MARGIN * cap
-        }
+        bounds = ladder.cond_ww_bounds().tolist()
+
+        def feasible(size: int) -> bool:
+            return bounds[size - 1] <= BOUND_MARGIN * cap and ladder.cond_ww(size) <= cap
+
+        for l_size in range(ladder.rank, 0, -1):
+            if feasible(l_size):
+                return next(filter(feasible, range(ladder.smallest_tie(l_size), l_size + 1)))
     else:
         score = dict(enumerate(scores, start=1))
-    for l_size in sorted(score, key=lambda size: (score[size], size)):
-        if ladder.cond_ww(l_size) <= cap:
-            return l_size
+        for l_size in sorted(score, key=lambda size: (score[size], size)):
+            if ladder.cond_ww(l_size) <= cap:
+                return l_size
     raise _no_feasible_subspace(ladder, cap)
 
 
@@ -305,8 +306,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
         curve = build_l_curve(ladder)
         curves[m_days] = curve
 
-        mse_scores = [p.mse_rd for p in curve]
-        sel_ladder, scores = ladder, mse_scores
+        sel_ladder, scores = ladder, None
         if sweep.objective == OBJECTIVE_VALIDATION:
             sel_ladder = SubspaceLadder(empirical_covariance(sub_train))
             scores = validation_scores(sel_ladder, val.y_block, val.z_block)
@@ -317,7 +317,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
             gb = fit_gauss_bayes(model)
         except IllConditionedError as exc:
             gb_error = str(exc)
-            cond_yy = spectral_condition(model.sigma_yy)
+            cond_yy = exc.condition_number
         else:
             cond_yy = gb.cond  # the same spectral_condition(sigma_yy)
             gb_result = _evaluate_method(model, gb, test)
@@ -328,7 +328,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
                 best_l = select_L(sel_ladder, cap, scores)
                 if curve[best_l - 1].cond_ww > cap:
                     # validation pick infeasible on the full-train model
-                    best_l = select_L(ladder, cap, mse_scores)
+                    best_l = select_L(ladder, cap)
                 rd = ladder.fit(best_l)
             except NoFeasibleSubspaceError as exc:
                 cell.skipped = True

@@ -11,7 +11,7 @@ estimator of every subspace size.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
@@ -80,9 +80,12 @@ def fit_gauss_bayes(model: CovarianceModel) -> Estimator:
     The coefficient matrix is sigma_zy @ inv(sigma_yy), realized as a solve;
     the posterior covariance is the Schur complement of sigma_yy.  An
     ill-conditioned sigma_yy is solved anyway and reported through ``cond``;
-    only exact numerical singularity raises.
+    a numerically singular one (``cond`` is ``inf``) raises
+    :class:`IllConditionedError` carrying that ``inf``.
     """
     cond_yy = spectral_condition(model.sigma_yy)
+    if np.isinf(cond_yy):
+        raise IllConditionedError("sigma_yy is numerically singular", condition_number=cond_yy)
     coeff = solve_sym(model.sigma_yy, model.sigma_yz, "sigma_yy").T
     posterior = symmetrize(model.sigma_zz - coeff @ model.sigma_yz)
     return Estimator(method=METHOD_GB, coeff=coeff, posterior_cov=posterior, cond=cond_yy)
@@ -214,10 +217,6 @@ class SubspaceLadder:
 
     def fit(self, L: int) -> Estimator:
         """The reduced-dimension estimator of size ``L``."""
-        return replace(self._fit(L), cond=self.cond_ww(L))
-
-    def _fit(self, L: int) -> Estimator:
-        """:meth:`fit` without the SVD: ``cond`` is None."""
         self.check(L)
         w = self._w[:L]
         a, info = lapack.dtrtrs(self._k[:L, :L], w, lower=1, trans=1)
@@ -227,8 +226,19 @@ class SubspaceLadder:
             method=METHOD_RD,
             coeff=(self._q[:, :L] @ a).T,
             posterior_cov=symmetrize(self.model.sigma_zz - w.T @ w),
+            cond=self.cond_ww(L),
             subspace_dim=L,
         )
+
+    def smallest_tie(self, L: int) -> int:
+        """The smallest size whose closed-form MSE equals size ``L``'s exactly.
+
+        ``mse_rd(L - 1) - mse_rd(L) = |W row L|^2`` (``posterior_L`` above),
+        so sizes tie exactly across rows of ``W`` that are exactly zero.
+        """
+        while L > 1 and not self._w[L - 1].any():
+            L -= 1
+        return L
 
     def forecasts(self, y: np.ndarray) -> Iterator[np.ndarray]:
         """Forecasts of the observation rows ``y`` for ``L = 1..rank`` in turn.

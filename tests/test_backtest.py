@@ -95,7 +95,7 @@ def test_select_l_rejects_a_non_finite_cap(objective):
     # would otherwise admit a size that cannot be fitted
     ladder = SubspaceLadder(CovarianceModel.from_matrix(np.diag([1.0, 4.0, 3.0, 2.0]), m=2))
     assert ladder.rank == 1
-    # the default scores (the closed-form MSE select_L computes) or given ones
+    # no scores (the closed-form MSE's exact order) or given ones
     scores = None
     if objective == OBJECTIVE_VALIDATION:
         scores = validation_scores(ladder, np.ones((5, 2)), np.ones((5, 2)))
@@ -225,6 +225,17 @@ def test_cell_cond_yy_is_the_observation_block_condition_number():
     train, _ = centered_windows(series, 20, 10, 200)
     model = empirical_covariance(train)
     assert report.cells[0].cond_yy == spectral_condition(model.sigma_yy)
+
+
+def test_singular_observation_block_reports_no_gb():
+    # 3 training windows of 11 observation days: sigma_yy is singular, so
+    # gb is not solved; the cell keeps unc and rd and says why gb is missing
+    series = to_series(gbm_prices(300, 3))
+    sweep = SweepConfig(m_values=(12,), horizon=5, condition_caps=(1e4,), n_test=281)
+    (cell,) = run_backtest(series, sweep).cells
+    assert not cell.skipped and cell.cond_yy == np.inf
+    assert cell.gb_error == "sigma_yy is numerically singular"
+    assert set(cell.results) == {"unc", "rd"}
 
 
 def test_backtest_single_test_row_completes():

@@ -1,16 +1,19 @@
 """Subspace-size selection computes only the values it compares.
 
-``select_L`` walks the sizes in ``(score, L)`` order and returns the first
-whose ``cond_ww`` meets the cap: the best feasible score, ties to the
-smaller ``L``.  A sweep passes the L-curve's ``mse_rd`` or the held-out MSE
-of every size (one rank-one scan per model); without scores ``select_L``
-fits and scores only the sizes whose ``cond_ww`` lower bound does not rule
-them out, and runs an SVD only for the sizes it tries.  These tests hold
-both score sources to a brute-force reference that never calls
-``select_L``, hold selection without a curve to selection from the full
-curve, count the work a forecast and a sweep do, and check the invariant
-that makes the theoretical objective well posed: ``mse_rd`` does not grow
-with ``L``.
+``select_L`` picks the best feasible score, ties to the smaller ``L``.
+Given scores (the validation sweep's held-out MSE of every size, one
+rank-one scan per model), it walks the sizes in ``(score, L)`` order and
+returns the first whose ``cond_ww`` meets the cap.  Without scores (a
+forecast and the theoretical sweep) the score is the closed-form MSE, which
+``mse_rd(L - 1) - mse_rd(L) = |W row L|^2`` orders exactly: it walks down
+from the largest size, skipping the sizes whose ``cond_ww`` lower bound
+rules them out, returns the first feasible one stepped down across exact
+ties, and fits and scores nothing.  These tests hold both rules to a
+brute-force reference that never calls ``select_L``, hold selection without
+a curve to selection from the full curve, decide a case where float64 ties
+by 50-digit values, count the work a forecast and a sweep do, and check the
+invariant that makes the theoretical objective well posed: ``mse_rd`` does
+not grow with ``L``.
 """
 
 import functools
@@ -109,9 +112,9 @@ def check_selection_without_curve(model, val_y, val_z):
     caps = sorted({p.cond_ww for p in curve if np.isfinite(p.cond_ww)} | {0.5, 1e3, 1e4})
     theory = [p.mse_rd for p in curve]
     held_out = validation_scores(reference, val_y, val_z)
-    # the closed-form MSE select_L computes against the curve's, and held-out
-    # MSE on a ladder without a curve against the ladder with one; each
-    # ladder serves every cap
+    # the pick without scores against the curve's mse_rd, and held-out MSE
+    # on a ladder without a curve against the ladder with one; each ladder
+    # serves every cap
     ladder, val_ladder = SubspaceLadder(model), SubspaceLadder(model)
     val_scores = validation_scores(val_ladder, val_y, val_z)
     for cap in caps:
@@ -176,8 +179,8 @@ def check_against_reference(model, score, ladder_scores, rtol=0.0):
 
 
 def check_theoretical_against_reference(model):
-    """The closed-form MSE that ``select_L`` computes itself and the one read
-    off the L-curve, each against the reference."""
+    """The pick without scores and the pick from the L-curve's ``mse_rd``,
+    each against the reference."""
     mse = functools.partial(metrics.theoretical_mse, model)
     check_against_reference(model, mse, lambda ladder: None)
     check_against_reference(model, mse, lambda ladder: [p.mse_rd for p in build_l_curve(ladder)])
@@ -292,6 +295,48 @@ def test_score_tie_with_an_infeasible_smaller_size_picks_the_larger():
         ), cap
 
 
+def with_cross_block(model, sigma_yz):
+    """``model`` with ``sigma_yz`` (and ``sigma_zy``) replaced and its
+    eigenvectors kept, so the ladder's basis and ``cond_ww`` stay the same."""
+    sigma = model.sigma_xx.copy()
+    sigma[: model.m, model.m :] = sigma_yz
+    sigma[model.m :, : model.m] = sigma_yz.T
+    return CovarianceModel(sigma_xx=sigma, m=model.m, V=model.V)
+
+
+def test_exact_ties_step_down_past_an_infeasible_size():
+    # sigma_yz = 0 makes W exactly zero, so every size ties exactly; size 4
+    # breaks cap 7 between feasible sizes, and the pick is the smallest
+    # feasible tie, not the largest feasible size
+    model = with_cross_block(random_model(8, 5, 11), np.zeros((5, 3)))
+    ladder = SubspaceLadder(model)
+    conds = [ladder.cond_ww(L) for L in range(1, 6)]
+    assert conds == pytest.approx([1, 1.16, 5.22, 8.36, 6.41], abs=5e-3)
+    assert ladder.smallest_tie(5) == 1
+    assert select_L(ladder, 7) == 1
+    for cap in sorted(set(conds) | {0.5}):
+        assert outcome(SubspaceLadder(model), cap, None) == reference_pick(
+            conds, dict.fromkeys(range(1, 6), 0.0), cap
+        ), cap
+
+
+def test_a_gain_below_float_resolution_is_decided_by_the_exact_rule():
+    # sigma_yz = 1e-10 q_5 1' with q_5 orthogonal to the first four basis
+    # columns: only W row 5 is above rounding, so float64 mse_rd ties at
+    # sizes 1-5 and (score, L) order picks 1, while at 50 digits size 5 is
+    # strictly best, and that is the pick without scores
+    base = random_model(8, 5, 11)
+    q_5 = np.linalg.qr(base.V[:5, :5])[0][:, 4]
+    model = with_cross_block(base, 1e-10 * np.outer(q_5, np.ones(3)))
+    ladder = SubspaceLadder(model)
+    curve = build_l_curve(ladder)
+    assert len({p.mse_rd for p in curve}) == 1
+    assert select_L(ladder, 10, [p.mse_rd for p in curve]) == 1
+    assert select_L(SubspaceLadder(model), 10) == 5
+    best = mp_reference(model, 5)[0]
+    assert all(best < mp_reference(model, L)[0] for L in range(1, 5))
+
+
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 @pytest.mark.parametrize("m_days", [20, 200])
 def test_no_feasible_size_reports_the_brute_force_minimum(kind, m_days):
@@ -317,11 +362,10 @@ def work(monkeypatch):
     """Record every fit, every ``cond_ww`` SVD, every validation scan and
     every closed-form MSE, with the ladder (or model) each ran on.
 
-    Every fit, with its ``cond_ww`` (``fit``) or without (the scoring in
-    ``select_L``), runs ``SubspaceLadder._fit`` once, so that is where fits
-    are counted.  ``SubspaceLadder.cond_ww`` keeps each size's value on the
-    ladder and runs the SVD through ``_svd_cond_ww`` only on the first call
-    for a size, so that is where the SVDs are counted.
+    Fits are counted on ``SubspaceLadder.fit``.  ``SubspaceLadder.cond_ww``
+    keeps each size's value on the ladder and runs the SVD through
+    ``_svd_cond_ww`` only on the first call for a size, so that is where the
+    SVDs are counted.
     """
     calls = {"fit": [], "svd": [], "scan": [], "mse": []}
 
@@ -334,7 +378,7 @@ def work(monkeypatch):
 
     ladder_and_size = lambda ladder, L: (ladder, L)  # noqa: E731
     monkeypatch.setattr(
-        SubspaceLadder, "_fit", counted("fit", SubspaceLadder._fit, ladder_and_size)
+        SubspaceLadder, "fit", counted("fit", SubspaceLadder.fit, ladder_and_size)
     )
     monkeypatch.setattr(
         SubspaceLadder,
@@ -361,23 +405,19 @@ def assert_one_svd_per_size(calls):
 
 def forecast_work(work, csv, m_days, cap):
     """Run ``forecast --m m_days --cap cap`` on ``csv`` and check its work:
-    the sizes whose bound rules them out are neither fitted nor SVD'd, every
-    other size is fitted once for its score and the chosen size once more,
-    and the SVDs are the candidates in ``(score, L)`` order up to the chosen
-    size.  Returns the ladder, the candidates and the chosen size."""
+    only the chosen size is fitted, once, no closed-form MSE is computed,
+    and the SVDs are the sizes whose bound does not rule them out, in
+    descending ``L`` down to the chosen size.  Returns the ladder, the
+    candidates and the SVD'd sizes."""
     assert cli.main(["forecast", "--csv", csv, "--m", str(m_days), "--cap", str(cap)]) == 0
-    (ladder,) = {ladder for ladder, _ in work["fit"]}
+    ((ladder, chosen),) = work["fit"]
+    assert work["mse"] == []
     assert_one_svd_per_size(work)
-    fitted, svds = [L for _, L in work["fit"]], [L for _, L in work["svd"]]
-    assert work["mse"] == [(ladder.model, "rd")] * (len(fitted) - 1)
+    assert {lad for lad, _ in work["svd"]} == {ladder}
+    svds = [L for _, L in work["svd"]]
     bounds = ladder.cond_ww_bounds()
-    candidates = [L for L in range(1, ladder.rank + 1) if bounds[L - 1] <= BOUND_MARGIN * cap]
-    chosen = fitted[-1]
-    assert fitted[:-1] == candidates and chosen in candidates
-    # the walk's order is each candidate's closed-form MSE
-    mse = {L: metrics.theoretical_mse(ladder.model, ladder.fit(L)) for L in candidates}
-    tried = sorted(candidates, key=lambda L: (mse[L], L))
-    assert svds == tried[: tried.index(chosen) + 1]
+    candidates = [L for L in range(ladder.rank, 0, -1) if bounds[L - 1] <= BOUND_MARGIN * cap]
+    assert svds == candidates[: candidates.index(chosen) + 1]
     return ladder, candidates, svds
 
 
@@ -566,9 +606,10 @@ def summary_bytes(report):
 @settings(max_examples=30, deadline=None)
 def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
     """cond_ww within the cap, gb <= rd <= unc in closed form, rd at L = m
-    equal to gb and mse_rd not growing with L, on every cell.  gb is held
-    to them where ``cond_yy`` is finite and the curve between sizes with
-    finite ``cond_ww``: the library's own test of numerical singularity.
+    equal to gb and mse_rd not growing with L, on every cell.  gb is
+    reported exactly where ``cond_yy`` is finite, and the curve is held to
+    them between sizes with finite ``cond_ww``: the library's own test of
+    numerical singularity.
     A comparison float64 fails is decided by the 50-digit values of the
     float64 model."""
     prices, sweep = case
@@ -598,7 +639,8 @@ def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
         assert cell.cond_ww <= cell.cap
         unc, rd = (cell.results[k].theoretical_mse for k in ("unc", "rd"))
         assert rd <= unc or mp_le(mp_rd(cell.best_L), mp_unc)
-        if "gb" in cell.results and math.isfinite(cell.cond_yy):
+        assert ("gb" in cell.results) == math.isfinite(cell.cond_yy)
+        if "gb" in cell.results:
             gb = cell.results["gb"].theoretical_mse
             assert gb <= rd or mp_le(mp_gb(), mp_rd(cell.best_L))
             at_m = curve[-1]
