@@ -18,10 +18,24 @@ import warnings
 import numpy as np
 from scipy import linalg as sla
 
-from .errors import IllConditionedError
+from .errors import DomainError, IllConditionedError
 
 # s_min at or below s_max times this counts as numerically singular.
 SINGULARITY_RTOL = 1e-15
+
+
+def covariance_eigh(a: np.ndarray, what: str, vectors: bool = True):
+    """``(symmetric a, ascending eigenvalues, eigenvectors or None)`` of a
+    covariance: :class:`DomainError` names ``what`` unless ``a`` is symmetric
+    to 1e-12 relative and no eigenvalue is below ``-1e-10`` times the largest."""
+    scale = float(np.abs(a).max(initial=0.0))
+    if scale > 0 and float(np.abs(a - a.T).max()) > 1e-12 * scale:
+        raise DomainError(f"{what} is not symmetric within 1e-12 relative")
+    a = symmetrize(a)
+    s, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+    if float(s.min()) < -1e-10 * max(float(s.max(initial=0.0)), 1e-300):
+        raise DomainError(f"{what} is not positive semidefinite within 1e-10 relative")
+    return a, s, v
 
 
 def spectral_condition(a: np.ndarray) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .covariance_model import CovarianceModel, empirical_covariance
-from .data_pipeline import DataMatrix, PriceSeries, centered_windows
+from .data_pipeline import DataMatrix, PriceSeries, centered_windows, denormalize_forecast
 from .errors import IllConditionedError, InsufficientDataError, NoFeasibleSubspaceError
 from .estimators import (
     METHOD_GB,
@@ -244,14 +244,10 @@ def _evaluate_method(
     model: CovarianceModel, est: Estimator, test: DataMatrix
 ) -> MethodResult:
     """Score one fitted estimator on the test rows of one grid cell."""
-    y_test = test.y_block
-    z_test = test.z_block
-    mean_tail = test.mean[test.split_m :]
-    scales = test.scales[:, None]
-    preds = y_test @ est.coeff.T
-    emp = metrics.empirical_mse(preds, z_test)
-    pred_prices = (preds + mean_tail) * scales
-    actual_prices = (z_test + mean_tail) * scales
+    preds = test.y_block @ est.coeff.T
+    emp = metrics.empirical_mse(preds, test.z_block)
+    pred_prices = denormalize_forecast(preds, test.mean, test.scales)
+    actual_prices = denormalize_forecast(test.z_block, test.mean, test.scales)
     directional = metrics.directional_statistic(pred_prices, actual_prices, test.scales)
     theoretical = metrics.theoretical_mse(model, est)
     try:

@@ -14,7 +14,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import replace
@@ -46,6 +45,7 @@ from .estimators import (
 from .metrics import squared_bias, theoretical_mse, volatility
 from .synthetic_oracle import (
     GaussianSpec,
+    McEstimate,
     geometric_spectrum,
     load_gaussian_spec,
     mc_bias,
@@ -292,12 +292,9 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
 
     # optimality ordering on common draws, pairwise differences
     for l in l_grid:
-        d = sq_errors[f"rd[L={l}]"] - sq_errors["gb"]
-        se = float(d.std(ddof=1) / math.sqrt(n))
-        check(f"order/gb<=rd[L={l}]", min(float(d.mean()), 0.0), 0.0, "3 se", 3 * se)
-        d = sq_errors["unc"] - sq_errors[f"rd[L={l}]"]
-        se = float(d.std(ddof=1) / math.sqrt(n))
-        check(f"order/rd[L={l}]<=unc", min(float(d.mean()), 0.0), 0.0, "3 se", 3 * se)
+        for lo, hi in (("gb", f"rd[L={l}]"), (f"rd[L={l}]", "unc")):
+            d = McEstimate.of(sq_errors[hi] - sq_errors[lo])
+            check(f"order/{lo}<={hi}", min(d.value, 0.0), 0.0, "3 se", 3 * d.se)
 
     # full-subspace reduction must reproduce the conditional-mean estimator
     coeff_scale = float(np.abs(gb_clean.coeff).max())

@@ -9,13 +9,13 @@ principal subspaces used by the reduced-dimension estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._linalg import symmetrize
+from ._linalg import covariance_eigh
 from .data_pipeline import DataMatrix
-from .errors import DomainError, InsufficientDataError
+from .errors import InsufficientDataError
 
 __all__ = [
     "CovarianceModel",
@@ -29,12 +29,15 @@ class CovarianceModel:
     """Symmetric PSD covariance with a y/z block split and its eigenvectors.
 
     ``V`` holds the orthonormal eigenvectors as columns, ordered by
-    descending eigenvalue.
+    descending eigenvalue.  ``n_samples`` is the number of centered rows a
+    sample covariance was taken from (``None`` for a given matrix); its rank
+    is below that.
     """
 
     sigma_xx: np.ndarray
     m: int
     V: np.ndarray
+    n_samples: int | None = None
 
     def __post_init__(self):
         for name in ("sigma_xx", "V"):
@@ -46,8 +49,8 @@ class CovarianceModel:
     def from_matrix(cls, sigma: np.ndarray, m: int) -> "CovarianceModel":
         """Build a model from an explicit covariance matrix.
 
-        The matrix must be square, symmetric to 1e-12 relative, and positive
-        semidefinite up to round-off (eigenvalues above ``-1e-10 * s_max``).
+        The matrix must be square and a valid covariance
+        (:func:`~subspace_forecast._linalg.covariance_eigh`).
         """
         sigma = np.asarray(sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
@@ -55,14 +58,7 @@ class CovarianceModel:
         d = sigma.shape[0]
         if not 1 <= m < d:
             raise ValueError(f"split m must be in [1, {d - 1}], got {m}")
-        scale = float(np.abs(sigma).max())
-        if scale > 0 and float(np.abs(sigma - sigma.T).max()) > 1e-12 * scale:
-            raise DomainError("covariance is not symmetric within 1e-12 relative")
-        sigma = symmetrize(sigma)
-        s, vecs = np.linalg.eigh(sigma)
-        smax = float(s.max(initial=0.0))
-        if float(s.min()) < -1e-10 * max(smax, 1e-300):
-            raise DomainError("covariance is not positive semidefinite within tolerance")
+        sigma, s, vecs = covariance_eigh(sigma, "covariance")
         order = np.argsort(-s, kind="stable")
         return cls(sigma_xx=sigma, m=m, V=vecs[:, order])
 
@@ -98,8 +94,8 @@ def empirical_covariance(train: DataMatrix) -> CovarianceModel:
     k = train.n_samples
     if k < 2:
         raise InsufficientDataError(f"covariance needs at least 2 training rows, got {k}")
-    sigma = train.X.T @ train.X / (k - 1)
-    return CovarianceModel.from_matrix(symmetrize(sigma), train.split_m)
+    model = CovarianceModel.from_matrix(train.X.T @ train.X / (k - 1), train.split_m)
+    return replace(model, n_samples=k)
 
 
 def dump_covariance_csv(model: CovarianceModel, path: str) -> None:

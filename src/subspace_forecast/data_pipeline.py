@@ -21,7 +21,6 @@ from datetime import date as _date
 from itertools import compress, count, repeat
 from operator import eq, lt
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -130,9 +129,9 @@ def load_csv(path: str) -> PriceSeries:
 
     The file is parsed by columns: every line is stripped, every row split at
     its one comma, and the date and price columns are each parsed in one
-    pass.  Each check runs on the rows before the first row that failed the
-    checks ahead of it (columns, date, price text, price domain), so the
-    error names the first bad line and its first failed check, as a
+    pass.  Only when a column fails are the rows walked in file order
+    through the one row check, so the error names the first bad line and its
+    first failed check (columns, date, price text, price domain), as a
     line-by-line reader would.
 
     Raises
@@ -155,19 +154,19 @@ def load_csv(path: str) -> PriceSeries:
     if lines[0].lower().replace(" ", "") == "date,close":  # a header on line 1 only
         lines[0] = ""
     rows = list(filter(None, lines))
-    # n: how many leading rows pass every check so far
-    commas = list(map(str.count, rows, repeat(",")))
-    n = len(rows) if commas.count(1) == len(rows) else next(
-        i for i, c in enumerate(commas) if c != 1
-    )
-    fields = ",".join(rows[:n]).split(",") if n else []
+    fields = ",".join(rows).split(",")
     dates = list(map(str.strip, fields[0::2]))
-    n = len(_parse_prefix(_date.fromisoformat, dates))
-    prices = np.array(_parse_prefix(float, fields[1 : 2 * n : 2]), dtype=float)
-    ok = np.isfinite(prices) & (prices > 0)
-    n = len(prices) if ok.all() else int(np.argmin(ok))
-    if n < len(rows):
-        _raise_row_error(path, list(compress(count(1), lines))[n], rows[n])
+    try:
+        if list(map(str.count, rows, repeat(","))).count(1) < len(rows):
+            raise ValueError("a row without exactly one comma")
+        list(map(_date.fromisoformat, dates))
+        prices = np.array(list(map(float, fields[1::2])))
+        if not np.all(np.isfinite(prices) & (prices > 0)):
+            raise ValueError("a price out of domain")
+    except ValueError:  # some row is bad, or there is none; the row check names the first
+        for lineno, row in zip(compress(count(1), lines), rows):
+            _check_row(path, lineno, row)
+    n = len(rows)
     if n < 2:
         raise InsufficientDataError(f"{path}: need at least 2 data rows, got {n}")
     if not all(map(lt, dates, dates[1:])):
@@ -185,21 +184,9 @@ def load_csv(path: str) -> PriceSeries:
     return PriceSeries(ticker=Path(path).name, dates=dates, prices=prices)
 
 
-def _parse_prefix(parse, texts: list[str]) -> list:
-    """``parse`` applied to ``texts`` up to the first one it rejects with ``ValueError``."""
-    try:
-        return list(map(parse, texts))
-    except ValueError:
-        done = []
-        for text in texts:
-            try:
-                done.append(parse(text))
-            except ValueError:
-                return done
-
-
-def _raise_row_error(path: str, lineno: int, text: str) -> NoReturn:
-    """Raise the error of the first check that the stripped data row ``text`` fails."""
+def _check_row(path: str, lineno: int, text: str) -> None:
+    """Raise the error of the first check that the stripped data row ``text``
+    fails; return if it passes them all."""
     token, comma, rest = text.partition(",")
     if not comma or "," in rest:
         raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
@@ -212,7 +199,8 @@ def _raise_row_error(path: str, lineno: int, text: str) -> NoReturn:
         price = float(rest)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: bad price {rest.strip()!r}") from exc
-    raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
+    if not 0 < price < float("inf"):  # nan fails both
+        raise DomainError(f"{path}:{lineno}: price must be finite and positive, got {price}")
 
 
 def centered_windows(
@@ -264,13 +252,19 @@ def centered_windows(
     )
 
 
-def denormalize_forecast(zhat: np.ndarray, mean: np.ndarray, scale: float) -> np.ndarray:
-    """Map a centered ratio forecast back to prices: ``(zhat + mean tail) * scale``."""
+def denormalize_forecast(zhat: np.ndarray, mean: np.ndarray, scale) -> np.ndarray:
+    """Map centered ratio forecasts back to prices: ``(zhat + mean tail) * scale``.
+
+    ``zhat`` is one forecast of ``h`` days with a scalar ``scale``, or a
+    ``(K, h)`` block with one scale per row.
+    """
     zhat = np.asarray(zhat, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    if zhat.ndim != 1 or mean.ndim != 1:
-        raise ValueError("zhat and mean must be 1-d")
-    h = zhat.shape[0]
+    if zhat.ndim not in (1, 2) or mean.ndim != 1:
+        raise ValueError("zhat must be 1-d or 2-d and mean 1-d")
+    h = zhat.shape[-1]
     if mean.shape[0] < h:
         raise ValueError(f"mean has {mean.shape[0]} components, forecast needs {h}")
+    if zhat.ndim == 2:
+        scale = np.asarray(scale, dtype=float)[:, None]
     return (zhat + mean[mean.shape[0] - h :]) * scale

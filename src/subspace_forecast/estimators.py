@@ -117,9 +117,11 @@ class SubspaceLadder:
     from a few batched products and triangular solves, without an SVD.
 
     Sizes past ``rank`` are unusable: the basis loses rank there (judged from
-    ``|R_ii|`` of the basis itself) or ``S`` stops being positive definite
-    (the first bad Cholesky pivot).  Their curve points are ``inf`` and
-    fitting them raises :class:`IllConditionedError`.
+    ``|R_ii|`` of the basis itself), ``S`` stops being positive definite
+    (the first bad Cholesky pivot), or, for a sample covariance of ``k``
+    rows, the size reaches ``k`` (the covariance has rank below ``k``, so
+    what float64 makes of those sizes is rounding).  Their curve points are
+    ``inf`` and fitting them raises :class:`IllConditionedError`.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -133,6 +135,8 @@ class SubspaceLadder:
         k, info = lapack.dpotrf(s, lower=1, clean=1)
         if info > 0:  # leading minor of order ``info`` is not positive definite
             k, _ = lapack.dpotrf(s[: info - 1, : info - 1], lower=1, clean=1)
+        if model.n_samples is not None:  # n centered rows span fewer than n dimensions
+            k = k[: model.n_samples - 1, : model.n_samples - 1]
         self.rank = k.shape[0]
         self.basis_rank = n_basis
         self._q = q[:, : self.rank]
@@ -147,16 +151,16 @@ class SubspaceLadder:
         """Raise unless size ``L`` can be fitted."""
         if not 1 <= L <= self.model.m:
             raise ValueError(f"L must be in [1, {self.model.m}], got {L}")
-        if L > self.basis_rank:
-            raise IllConditionedError(
-                f"subspace basis with L={L} is rank deficient over the observation rows",
-                condition_number=float("inf"),
-            )
-        if L > self.rank:
-            raise IllConditionedError(
-                f"sigma_yy restricted to the L={L} subspace is not positive definite",
-                condition_number=float("inf"),
-            )
+        rows = self.model.n_samples
+        if rows is not None and L >= rows:
+            why = f"a covariance of {rows} training rows has rank below L={L}"
+        elif L > self.basis_rank:
+            why = f"subspace basis with L={L} is rank deficient over the observation rows"
+        elif L > self.rank:
+            why = f"sigma_yy restricted to the L={L} subspace is not positive definite"
+        else:
+            return
+        raise IllConditionedError(why, condition_number=float("inf"))
 
     def cond_ww(self, L: int) -> float:
         """Condition number of ``sigma_ww(L)``, ``cond(Y_L)**2``.

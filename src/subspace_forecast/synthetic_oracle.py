@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import solve_sym, symmetrize
-from .errors import DomainError, ParseError
+from ._linalg import covariance_eigh, solve_sym, symmetrize
+from .errors import ParseError
 from .estimators import Estimator
 
 __all__ = [
@@ -66,13 +66,7 @@ class GaussianSpec:
         cov = np.asarray(self.true_cov, dtype=float)
         if cov.shape != (self.dim, self.dim):
             raise ValueError(f"true_cov must be ({self.dim}, {self.dim}), got {cov.shape}")
-        scale = float(np.abs(cov).max(initial=0.0))
-        if scale > 0 and float(np.abs(cov - cov.T).max()) > 1e-12 * scale:
-            raise DomainError("true_cov must be symmetric")
-        cov = symmetrize(cov)
-        eigs = np.linalg.eigvalsh(cov)
-        if float(eigs.min()) < -1e-10 * max(float(eigs.max()), 1e-300):
-            raise DomainError("true_cov must be positive semidefinite")
+        cov, _, _ = covariance_eigh(cov, "true_cov", vectors=False)
         cov.flags.writeable = False
         object.__setattr__(self, "true_cov", cov)
 
@@ -85,8 +79,14 @@ class McEstimate:
     se: float
     n: int
 
-    def __float__(self) -> float:
-        return self.value
+    @classmethod
+    def of(cls, samples: np.ndarray, n: int | None = None) -> "McEstimate":
+        """The mean of ``samples`` with its standard error
+        ``std(ddof=1) / sqrt(len(samples))``, ``inf`` for one sample; ``n``
+        is the draw count, ``len(samples)`` unless given."""
+        k = samples.shape[0]
+        se = float(samples.std(ddof=1) / math.sqrt(k)) if k > 1 else float("inf")
+        return cls(value=float(samples.mean()), se=se, n=k if n is None else n)
 
 
 def _sqrt_factor(cov: np.ndarray) -> np.ndarray:
@@ -158,11 +158,7 @@ def mc_mse(
 ) -> list[McEstimate]:
     """Empirical mean squared error of each estimator over ``n`` fresh draws,
     the means of :func:`mc_squared_errors`."""
-    out = []
-    for sq in mc_squared_errors(spec, ests, split, n):
-        se = float(sq.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
-        out.append(McEstimate(value=float(sq.mean()), se=se, n=n))
-    return out
+    return [McEstimate.of(sq) for sq in mc_squared_errors(spec, ests, split, n)]
 
 
 def mc_bias(
@@ -218,11 +214,7 @@ def mc_bias(
             dev = y_mean[k] @ est.coeff.T - z[k]
             noise = scatter @ gram / (n_rep - 1)
             b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
-    out = []
-    for b_k in bias:
-        se = float(b_k.std(ddof=1) / math.sqrt(n_z)) if n_z > 1 else float("inf")
-        out.append(McEstimate(value=float(b_k.mean()), se=se, n=n_z * n_rep))
-    return out
+    return [McEstimate.of(b_k, n_z * n_rep) for b_k in bias]
 
 
 def random_covariance(dim: int, spectrum: np.ndarray, seed: int = 0) -> np.ndarray:

@@ -11,6 +11,7 @@ from subspace_forecast import (
     OBJECTIVE_VALIDATION,
     BacktestReport,
     CovarianceModel,
+    IllConditionedError,
     NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
@@ -236,6 +237,25 @@ def test_singular_observation_block_reports_no_gb():
     assert not cell.skipped and cell.cond_yy == np.inf
     assert cell.gb_error == "sigma_yy is numerically singular"
     assert set(cell.results) == {"unc", "rd"}
+
+
+def test_sizes_past_the_training_rows_are_unusable(tmp_path):
+    # 3 training windows of 25 dimensions: the covariance has rank <= 2, so
+    # sizes from 3 on are rounding, not a forecaster; they are inf on the
+    # curve (no negative MSE reaches mse_vs_L.csv) and cannot be fitted
+    series = to_series(gbm_prices(300, 3))
+    n_test = 300 - (21 + 5) + 1 - 3
+    report = run_backtest(series, SweepConfig(m_values=(21,), horizon=5, n_test=n_test))
+    curve = report.l_curves[21]
+    assert [p.L for p in curve if np.isfinite(p.mse_rd)] == [1, 2]
+    assert all(p.cond_ww == p.mse_rd == np.inf for p in curve[2:])
+    emit_report(report, tmp_path)
+    mse = np.loadtxt(tmp_path / "mse_vs_L.csv", delimiter=",", skiprows=1)[:, 3]
+    assert mse.min() >= 0
+    model = empirical_covariance(centered_windows(series, 21, 5, n_test)[0])
+    assert model.n_samples == 3
+    with pytest.raises(IllConditionedError, match="covariance of 3 training rows"):
+        SubspaceLadder(model).fit(3)
 
 
 def test_backtest_single_test_row_completes():

@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 from subspace_forecast import (
     CovarianceModel,
     DomainError,
+    GaussianSpec,
     InsufficientDataError,
     centered_windows,
     dump_covariance_csv,
     empirical_covariance,
 )
-from subspace_forecast._linalg import spectral_condition
+from subspace_forecast._linalg import spectral_condition, symmetrize
 
 from conftest import gbm_prices, to_series
 
@@ -28,6 +29,8 @@ def test_empirical_covariance_matches_np_cov():
     assert_allclose(model.sigma_xx, np.cov(data.X, rowvar=False), rtol=1e-12)
     assert model.m == data.split_m
     assert model.dim == data.dim
+    assert model.n_samples == data.n_samples
+    assert CovarianceModel.from_matrix(model.sigma_xx, model.m).n_samples is None
 
 
 def test_empirical_covariance_two_sample_arithmetic():
@@ -68,6 +71,32 @@ def test_from_matrix_validates_input():
         CovarianceModel.from_matrix(neg, m=1)
     with pytest.raises(ValueError):
         CovarianceModel.from_matrix(np.eye(3), m=3)  # horizon would be empty
+
+
+# Both constructors of a covariance apply the one validity rule.
+COVARIANCE_TAKERS = {
+    "GaussianSpec": lambda a: GaussianSpec(a.shape[0], a),
+    "from_matrix": lambda a: CovarianceModel.from_matrix(a, m=2),
+}
+
+
+def covariance_with(min_eig, asym):
+    """A 4 x 4 matrix with eigenvalues ``1, 0.3, 0.1, min_eig`` whose entry
+    ``(0, 1)`` is raised by ``asym`` times its largest entry."""
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    a = symmetrize((q * [1.0, 0.3, 0.1, min_eig]) @ q.T)
+    a[0, 1] += asym * np.abs(a).max()
+    return a
+
+
+@pytest.mark.parametrize("take", sorted(COVARIANCE_TAKERS))
+def test_both_constructors_apply_one_covariance_rule(take):
+    take = COVARIANCE_TAKERS[take]
+    with pytest.raises(DomainError, match="not symmetric within 1e-12 relative"):
+        take(covariance_with(0.0, 1e-11))
+    with pytest.raises(DomainError, match="not positive semidefinite within 1e-10 relative"):
+        take(covariance_with(-1e-9, 0.0))
+    take(covariance_with(-0.5e-10, 0.5e-12))  # just inside both tolerances
 
 
 def test_eigen_decomposition_descending_and_orthonormal():

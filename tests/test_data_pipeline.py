@@ -622,3 +622,7 @@ def test_denormalize_matches_hand_computation():
     )
     # a longer mean vector contributes only its trailing entries
     assert_allclose(denormalize_forecast([0.5], [1.0, 2.0, 3.0], 2.0), [7.0])
+    # a (K, h) block takes one scale per row
+    assert_allclose(
+        denormalize_forecast([[0.5], [1.0]], [1.0, 2.0], [2.0, 3.0]), [[5.0], [9.0]]
+    )

@@ -608,8 +608,8 @@ def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
     """cond_ww within the cap, gb <= rd <= unc in closed form, rd at L = m
     equal to gb and mse_rd not growing with L, on every cell.  gb is
     reported exactly where ``cond_yy`` is finite, and the curve is held to
-    them between sizes with finite ``cond_ww``: the library's own test of
-    numerical singularity.
+    them at every size with a finite ``mse_rd``: every size below the
+    number of training rows that the ladder can fit.
     A comparison float64 fails is decided by the 50-digit values of the
     float64 model."""
     prices, sweep = case
@@ -646,7 +646,7 @@ def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
             at_m = curve[-1]
             if math.isfinite(at_m.cond_ww):
                 assert at_m.mse_rd == gb or mpmath.almosteq(mp_rd(model.m), mp_gb(), 1e-40)
-    regular = [p for p in curve if math.isfinite(p.cond_ww)]
+    regular = [p for p in curve if math.isfinite(p.mse_rd)]
     for a, b in zip(regular, regular[1:]):
         rise = (b.mse_rd - a.mse_rd) / np.spacing(a.mse_rd)
         assert rise <= 4 or mp_le(mp_rd(b.L), mp_rd(a.L)), (a, b)

@@ -9,6 +9,7 @@ from subspace_forecast import (
     DomainError,
     GaussianSpec,
     IllConditionedError,
+    McEstimate,
     ParseError,
     SubspaceLadder,
     dump_covariance_csv,
@@ -60,13 +61,21 @@ def test_sample_moments_converge():
     assert_allclose(np.cov(draws, rowvar=False), rng_cov, atol=0.02)
 
 
-def test_mc_estimate_float_protocol():
+def test_mc_mse_reports_value_se_and_n():
     spec = GaussianSpec(3, np.eye(3), seed=0)
     model = CovarianceModel.from_matrix(np.eye(3), m=2)
     (est,) = mc_mse(spec, [fit_unconditional(model)], split=2, n=2000)
-    assert float(est) == est.value
+    assert est.value > 0
     assert est.se > 0
     assert est.n == 2000
+
+
+def test_mc_estimate_of_samples():
+    est = McEstimate.of(np.array([1.0, 2.0, 6.0]), n=300)
+    assert est == McEstimate(value=3.0, se=pytest.approx(np.sqrt(7 / 3)), n=300)
+    assert McEstimate.of(np.array([1.0, 3.0])).n == 2
+    # one sample has no spread to estimate: the error is unbounded, not nan
+    assert McEstimate.of(np.array([2.5])) == McEstimate(value=2.5, se=np.inf, n=1)
 
 
 def test_mc_mse_matches_closed_forms(pinned_spec, pinned_model):
