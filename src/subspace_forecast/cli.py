@@ -90,10 +90,13 @@ def _log_config(args: argparse.Namespace) -> None:
 
 def _parse_seed(token: str) -> int:
     try:
-        return int(token)
+        seed = int(token)
     except ValueError:
         digest = hashlib.sha256(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "little")
+    if seed < 0:
+        raise ValueError(f"--seed must not be a negative integer, got {token!r}")
+    return seed
 
 
 def build_parser() -> _Parser:
@@ -113,13 +116,10 @@ def build_parser() -> _Parser:
                           help="pin the rd subspace size instead of searching under --cap")
     forecast.set_defaults(func=cmd_forecast)
 
-    def add_grid_flags(p, with_m_list):
+    def add_grid_command(name, help_text, m_flag, **m_spec):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--csv", required=True, help="price CSV (date,close)")
-        if with_m_list:
-            p.add_argument("--m-list", dest="m_list", type=int, nargs="+",
-                           default=list(DEFAULT_M_GRID), help="observation lengths to sweep")
-        else:
-            p.add_argument("--m", type=int, required=True, help="observation window length")
+        p.add_argument(m_flag, dest="m_list", type=int, **m_spec)
         p.add_argument("--h", "--horizon", dest="horizon", type=int, default=10)
         p.add_argument("--caps", type=float, nargs="+", default=[1e3, 1e4],
                        help="condition-number caps")
@@ -128,14 +128,13 @@ def build_parser() -> _Parser:
         p.add_argument("--objective", choices=[OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION],
                        default=OBJECTIVE_THEORETICAL, help="subspace-size selection objective")
         p.add_argument("--out", default=None, help="directory for CSV and JSON artifacts")
+        p.set_defaults(func=cmd_grid)
 
-    backtest = sub.add_parser("backtest", help="score all estimators out-of-sample for one M")
-    add_grid_flags(backtest, with_m_list=False)
-    backtest.set_defaults(func=cmd_backtest)
-
-    sweep = sub.add_parser("sweep", help="score all estimators over a grid of M values")
-    add_grid_flags(sweep, with_m_list=True)
-    sweep.set_defaults(func=cmd_sweep)
+    # backtest is a sweep of one window length
+    add_grid_command("backtest", "score all estimators out-of-sample for one M", "--m",
+                     nargs=1, required=True, metavar="M", help="observation window length")
+    add_grid_command("sweep", "score all estimators over a grid of M values", "--m-list",
+                     nargs="+", default=list(DEFAULT_M_GRID), help="observation lengths to sweep")
 
     verify = sub.add_parser("verify", help="check the closed forms against Monte-Carlo sampling")
     verify.add_argument("--seed", default="0", help="reproducibility token (int or any string)")
@@ -201,19 +200,15 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_from_args(args: argparse.Namespace, m_values) -> SweepConfig:
-    return SweepConfig(
-        m_values=tuple(m_values),
+def cmd_grid(args: argparse.Namespace) -> int:
+    series = load_csv(args.csv)
+    sweep = SweepConfig(
+        m_values=args.m_list,
         horizon=args.horizon,
-        condition_caps=tuple(args.caps),
+        condition_caps=args.caps,
         n_test=args.n_test,
         objective=args.objective,
     )
-
-
-def _run_grid(args: argparse.Namespace, m_values) -> int:
-    series = load_csv(args.csv)
-    sweep = _sweep_from_args(args, m_values)
     report = run_backtest(series, sweep)
     for cell in report.cells:
         if cell.skipped:
@@ -235,14 +230,6 @@ def _run_grid(args: argparse.Namespace, m_values) -> int:
         for path in paths:
             print(f"wrote {path}")
     return EXIT_OK
-
-
-def cmd_backtest(args: argparse.Namespace) -> int:
-    return _run_grid(args, [args.m])
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_grid(args, args.m_list)
 
 
 def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split: int | None):

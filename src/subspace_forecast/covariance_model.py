@@ -9,7 +9,7 @@ principal subspaces used by the reduced-dimension estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ class CovarianceModel:
     ``V`` holds the orthonormal eigenvectors as columns, ordered by
     descending eigenvalue.  ``n_samples`` is the number of centered rows a
     sample covariance was taken from (``None`` for a given matrix); its rank
-    is below that.
+    is at most one less.
     """
 
     sigma_xx: np.ndarray
@@ -46,8 +46,11 @@ class CovarianceModel:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_matrix(cls, sigma: np.ndarray, m: int) -> "CovarianceModel":
-        """Build a model from an explicit covariance matrix.
+    def from_matrix(
+        cls, sigma: np.ndarray, m: int, n_samples: int | None = None
+    ) -> "CovarianceModel":
+        """Build a model from an explicit covariance matrix, taken from
+        ``n_samples`` centered rows if given.
 
         The matrix must be square and a valid covariance
         (:func:`~subspace_forecast._linalg.covariance_eigh`).
@@ -60,7 +63,7 @@ class CovarianceModel:
             raise ValueError(f"split m must be in [1, {d - 1}], got {m}")
         sigma, s, vecs = covariance_eigh(sigma, "covariance")
         order = np.argsort(-s, kind="stable")
-        return cls(sigma_xx=sigma, m=m, V=vecs[:, order])
+        return cls(sigma_xx=sigma, m=m, V=vecs[:, order], n_samples=n_samples)
 
     @property
     def dim(self) -> int:
@@ -94,8 +97,7 @@ def empirical_covariance(train: DataMatrix) -> CovarianceModel:
     k = train.n_samples
     if k < 2:
         raise InsufficientDataError(f"covariance needs at least 2 training rows, got {k}")
-    model = CovarianceModel.from_matrix(train.X.T @ train.X / (k - 1), train.split_m)
-    return replace(model, n_samples=k)
+    return CovarianceModel.from_matrix(train.X.T @ train.X / (k - 1), train.split_m, k)
 
 
 def dump_covariance_csv(model: CovarianceModel, path: str) -> None:

@@ -119,9 +119,10 @@ class SubspaceLadder:
     Sizes past ``rank`` are unusable: the basis loses rank there (judged from
     ``|R_ii|`` of the basis itself), ``S`` stops being positive definite
     (the first bad Cholesky pivot), or, for a sample covariance of ``k``
-    rows, the size reaches ``k`` (the covariance has rank below ``k``, so
-    what float64 makes of those sizes is rounding).  Their curve points are
-    ``inf`` and fitting them raises :class:`IllConditionedError`.
+    rows, the size reaches ``k - 1`` (``k`` centered rows span ``k - 1``
+    dimensions, so that size fits the sample exactly: its posterior is zero
+    and its MSE rounding).  Their curve points are ``inf`` and fitting them
+    raises :class:`IllConditionedError`.
     """
 
     def __init__(self, model: CovarianceModel):
@@ -135,8 +136,8 @@ class SubspaceLadder:
         k, info = lapack.dpotrf(s, lower=1, clean=1)
         if info > 0:  # leading minor of order ``info`` is not positive definite
             k, _ = lapack.dpotrf(s[: info - 1, : info - 1], lower=1, clean=1)
-        if model.n_samples is not None:  # n centered rows span fewer than n dimensions
-            k = k[: model.n_samples - 1, : model.n_samples - 1]
+        if model.n_samples is not None:  # n centered rows span n - 1 dimensions
+            k = k[: model.n_samples - 2, : model.n_samples - 2]
         self.rank = k.shape[0]
         self.basis_rank = n_basis
         self._q = q[:, : self.rank]
@@ -152,8 +153,9 @@ class SubspaceLadder:
         if not 1 <= L <= self.model.m:
             raise ValueError(f"L must be in [1, {self.model.m}], got {L}")
         rows = self.model.n_samples
-        if rows is not None and L >= rows:
-            why = f"a covariance of {rows} training rows has rank below L={L}"
+        if rows is not None and L >= rows - 1:
+            why = (f"{rows} centered training rows span {rows - 1} dimensions, "
+                   f"which L={L} fits exactly (zero posterior)")
         elif L > self.basis_rank:
             why = f"subspace basis with L={L} is rank deficient over the observation rows"
         elif L > self.rank:

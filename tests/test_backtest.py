@@ -156,22 +156,26 @@ def test_backtest_skips_cells_without_enough_windows():
 
 
 def test_validation_split_too_short_skips_only_its_cell():
-    # 40 days, H = 5, 29 test windows: M = 5 leaves 2 training windows, so
-    # the validation split would fit a 1-row sub-train model; M = 4 leaves 3
+    # 40 days, H = 5, 28 test windows: M = 6 leaves 2 training windows, so
+    # the validation split would fit a 1-row sub-train model; M = 4 leaves 4,
+    # a 3-row sub-train model with one usable size
     series = to_series(gbm_prices(40, 3))
-    sweep = SweepConfig(m_values=(5, 4), horizon=5, n_test=29, objective=OBJECTIVE_VALIDATION)
+    sweep = SweepConfig(m_values=(6, 4), horizon=5, n_test=28, objective=OBJECTIVE_VALIDATION)
     report = run_backtest(series, sweep)
     by_m = {}
     for cell in report.cells:
         by_m.setdefault(cell.M, []).append(cell)
-    assert [c.reason for c in by_m[5]] == [
-        "validation split: needs at least 3 windows of 10 days, got 2"
+    assert [c.reason for c in by_m[6]] == [
+        "validation split: needs at least 3 windows of 11 days, got 2"
     ] * 2
     assert all(not c.skipped for c in by_m[4])
     assert set(report.l_curves) == {4}
-    # the theoretical objective needs no split and reports both
+    # the theoretical objective needs no split; at M = 6 its 2 training rows
+    # leave no usable size, which is the reason it gives
     theoretical = run_backtest(series, replace(sweep, objective=OBJECTIVE_THEORETICAL))
-    assert not any(c.skipped for c in theoretical.cells)
+    assert [c.M for c in theoretical.cells if c.skipped] == [6, 6]
+    assert all(c.reason.startswith("no subspace size") for c in theoretical.cells if c.skipped)
+    assert set(theoretical.l_curves) == {6, 4}
 
 
 def test_backtest_cell_contents():
@@ -240,22 +244,44 @@ def test_singular_observation_block_reports_no_gb():
 
 
 def test_sizes_past_the_training_rows_are_unusable(tmp_path):
-    # 3 training windows of 25 dimensions: the covariance has rank <= 2, so
-    # sizes from 3 on are rounding, not a forecaster; they are inf on the
-    # curve (no negative MSE reaches mse_vs_L.csv) and cannot be fitted
+    # 3 training windows of 25 dimensions: the centered rows span 2
+    # dimensions, so size 2 fits them exactly and sizes from 2 on are
+    # rounding, not a forecaster; they are inf on the curve (no negative or
+    # zero MSE reaches mse_vs_L.csv) and cannot be fitted
     series = to_series(gbm_prices(300, 3))
     n_test = 300 - (21 + 5) + 1 - 3
     report = run_backtest(series, SweepConfig(m_values=(21,), horizon=5, n_test=n_test))
     curve = report.l_curves[21]
-    assert [p.L for p in curve if np.isfinite(p.mse_rd)] == [1, 2]
-    assert all(p.cond_ww == p.mse_rd == np.inf for p in curve[2:])
+    assert [p.L for p in curve if np.isfinite(p.mse_rd)] == [1]
+    assert all(p.cond_ww == p.mse_rd == np.inf for p in curve[1:])
     emit_report(report, tmp_path)
     mse = np.loadtxt(tmp_path / "mse_vs_L.csv", delimiter=",", skiprows=1)[:, 3]
-    assert mse.min() >= 0
+    assert mse.min() > 0
     model = empirical_covariance(centered_windows(series, 21, 5, n_test)[0])
     assert model.n_samples == 3
-    with pytest.raises(IllConditionedError, match="covariance of 3 training rows"):
-        SubspaceLadder(model).fit(3)
+    with pytest.raises(IllConditionedError, match="3 centered training rows span 2 dimensions"):
+        SubspaceLadder(model).fit(2)
+
+
+@pytest.mark.parametrize("objective", [OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION])
+def test_a_sample_with_no_usable_size_skips_its_cells(objective):
+    # 2 training windows (3 under the validation split, whose sub-train model
+    # keeps 2) span one dimension, which size 1 already fits: the ladder has
+    # no usable size, and every cap's cell is skipped with the reason
+    series = to_series(gbm_prices(300, 3))
+    n_train = 2 if objective == OBJECTIVE_THEORETICAL else 3
+    n_test = 300 - (21 + 5) + 1 - n_train
+    sweep = SweepConfig(m_values=(21,), horizon=5, n_test=n_test, objective=objective)
+    report = run_backtest(series, sweep)
+    assert [cell.skipped for cell in report.cells] == [True, True]
+    assert all(
+        cell.reason.startswith("no subspace size") and cell.reason.endswith("is inf")
+        for cell in report.cells
+    )
+    model = empirical_covariance(centered_windows(series, 21, 5, 300 - 25 - 2)[0])
+    ladder = SubspaceLadder(model)
+    assert ladder.rank == 0 and ladder.cond_ww_bounds().shape == (0,)
+    assert list(ladder.forecasts(np.zeros((3, model.m)))) == []
 
 
 def test_backtest_single_test_row_completes():

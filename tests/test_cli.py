@@ -116,6 +116,34 @@ def test_forecast_window_errors_name_the_flags(price_csv, flags, message):
     assert out == ""
 
 
+def test_forecast_on_a_short_sample_keeps_a_posterior(tmp_path):
+    # 30 days at M=20, H=5 give 6 training windows, whose centered rows span
+    # 5 dimensions: size 5 fits them exactly, so its posterior std is 0 and
+    # says nothing about the horizon; the search stops at size 4
+    csv = write_price_csv(tmp_path / "short.csv", gbm_prices(30, 5))
+    flags = ("forecast", "--csv", csv, "--m", "20", "--h", "5", "--method", "rd")
+    code, out, err = run_in_process(flags)
+    assert code == 0, err
+    assert "training windows: 6" in out
+    picked = int(next(line for line in out.splitlines() if line.startswith("L: "))[3:])
+    assert picked <= 4
+    assert max(std for _, _, std in parse_forecast_table(out)) > 0
+    code, out, err = run_in_process((*flags, "--l", "5"))
+    assert code == 3 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: 6 centered training rows span 5 dimensions, which L=5 fits exactly (zero posterior)"
+    )
+
+
+def test_forecast_with_no_usable_subspace_size_is_a_numerical_error(tmp_path):
+    # 26 days at M=20, H=5: 2 training windows span one dimension, which
+    # size 1 already fits, so no size is left to search
+    csv = write_price_csv(tmp_path / "two.csv", gbm_prices(26, 5))
+    code, out, err = run_in_process(("forecast", "--csv", csv, "--m", "20", "--h", "5"))
+    assert code == 3 and out == ""
+    assert "minimum achievable is inf" in err
+
+
 def test_forecast_l_out_of_range_is_usage_error(price_csv):
     proc = run_cli("forecast", "--csv", price_csv, "--m", "30", "--method", "rd",
                    "--l", "30")
@@ -198,6 +226,18 @@ def test_backtest_prints_cell_lines(price_csv):
     lines = [l for l in proc.stdout.splitlines() if l.startswith("M=20")]
     assert len(lines) == 2  # one per default cap
     assert all("mse[rd]" in l for l in lines)
+
+
+def test_backtest_is_a_sweep_of_one_window_length(price_csv, tmp_path):
+    common = ("--csv", price_csv, "--caps", "1e3", "1e4", "--n-test", "100")
+    one = run_in_process(("backtest", "--m", "50", *common, "--out", str(tmp_path / "b")))
+    grid = run_in_process(("sweep", "--m-list", "50", *common, "--out", str(tmp_path / "s")))
+    assert one[0] == grid[0] == 0, one[2]
+    cells = [[line for line in run[1].splitlines() if line.startswith("M=")] for run in (one, grid)]
+    assert len(cells[0]) == 2 and cells[0] == cells[1]
+    for name in ("mse_vs_L.csv", "best_mse.csv", "condition.csv", "directional.csv",
+                 "volatility.csv", "summary.json"):
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
 
 
 def test_sweep_writes_report_directory(price_csv, tmp_path):
@@ -294,6 +334,13 @@ def test_verify_split_without_a_covariance_csv_is_usage_error():
     assert proc.returncode == 1  # the built-in fixture's split is fixed
     assert "--split needs --cov-csv" in proc.stderr
     assert "checks" not in proc.stdout
+
+
+@pytest.mark.parametrize("token", ["-5", " -1"])
+def test_verify_negative_integer_seed_is_usage_error(token):
+    code, out, err = run_in_process(("verify", "--seed", token, "--n", "100"))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == f"error: --seed must not be a negative integer, got {token!r}"
 
 
 def run_in_process(argv):

@@ -608,8 +608,8 @@ def test_every_cell_of_a_drawn_sweep_keeps_the_invariants(case):
     """cond_ww within the cap, gb <= rd <= unc in closed form, rd at L = m
     equal to gb and mse_rd not growing with L, on every cell.  gb is
     reported exactly where ``cond_yy`` is finite, and the curve is held to
-    them at every size with a finite ``mse_rd``: every size below the
-    number of training rows that the ladder can fit.
+    them at every size with a finite ``mse_rd``: every size the ladder can
+    fit, which stops two below the number of training rows.
     A comparison float64 fails is decided by the 50-digit values of the
     float64 model."""
     prices, sweep = case
