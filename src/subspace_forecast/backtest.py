@@ -6,9 +6,10 @@ the training rows, and all three estimators are fitted on the training
 covariance.  For every condition cap the reduced-dimension subspace size is
 the best-scoring size whose filtered covariance stays within the cap, ties
 to the smaller one.  The score is the closed-form reduced-dimension MSE by
-default, which never grows with the size, so the pick is the largest
-feasible size stepped down across exact ties; optionally it is held-out
-validation MSE, and the sizes are tried in ``(score, L)`` order.
+default, taken in its exact order, or held-out validation MSE; either way
+the sizes are tried in ``(score, L)`` order, sizes whose ``cond_ww`` lower
+bound rules them out are skipped, and the first size that meets the cap is
+the pick.
 
 Results are collected per (M, cap) cell and can be serialized as a fixed set
 of CSV files plus a ``summary.json``, whose keys are the records' own field
@@ -61,9 +62,9 @@ OBJECTIVE_VALIDATION = "validation_mse"
 # Default observation-length grid: 20 through 440 in steps of 30.
 DEFAULT_M_GRID = tuple(range(20, 441, 30))
 
-# select_L without scores drops a size only when its cond_ww lower bound is
-# over this multiple of the cap (or of the best exact value, when no size
-# meets the cap), so no rounding in the bound can drop a size it should keep.
+# select_L drops a size only when its cond_ww lower bound is over this
+# multiple of the cap, so no rounding in the bound can drop a size it should
+# keep.
 BOUND_MARGIN = 2.0
 
 CSV_FILES = (
@@ -99,8 +100,10 @@ class SweepConfig:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         caps = self.condition_caps
-        if not caps or not all(math.isfinite(c) and c >= 1 for c in caps):
-            raise ValueError("condition caps must be finite and >= 1")
+        if not caps:
+            raise ValueError("condition caps must not be empty")
+        for cap in caps:
+            _check_cap(cap)
         if len(set(caps)) != len(caps):
             raise ValueError(f"condition caps must be distinct, got {list(caps)}")
         if self.n_test < 1:
@@ -185,58 +188,44 @@ def validation_scores(
     return [float(metrics.empirical_mse(pred, val_z).sum()) for pred in ladder.forecasts(val_y)]
 
 
+def _check_cap(cap: float) -> None:
+    """Raise ``ValueError`` unless ``cap`` is a condition-number cap: finite
+    and at least 1, the smallest condition number there is."""
+    if not (math.isfinite(cap) and cap >= 1):
+        raise ValueError(f"condition cap must be finite and >= 1, got {cap:g}")
+
+
 def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = None) -> int:
     """Best-scoring subspace size whose ``cond_ww`` meets the cap, ties to
     the smaller ``L``.
 
     ``scores[L - 1]`` is the score of size ``L``, lower is better, such as
-    :func:`validation_scores`; sizes are tried in ``(score, L)`` order, with
-    ``cond_ww`` computed only for the sizes tried.  Without ``scores`` the
-    score is the closed-form MSE, which the ladder orders exactly
-    (:meth:`~SubspaceLadder.smallest_tie`): the pick is the largest feasible
-    size stepped down across exact ties, and nothing is fitted or scored.
-    Sizes whose :meth:`~SubspaceLadder.cond_ww_bounds` entry is over
-    ``BOUND_MARGIN`` times the cap are provably over it and get no SVD.
-    Raises :class:`NoFeasibleSubspaceError` (carrying the minimum achievable
-    condition number) when no size satisfies the cap, and ``ValueError``
-    when the cap is not finite.
+    :func:`validation_scores`; without ``scores`` it is the closed-form MSE
+    in the exact order :meth:`~SubspaceLadder.mse_order`, so nothing is
+    fitted or scored.  Sizes are tried in ``(score, L)`` order and the first
+    whose ``cond_ww`` meets the cap is returned.  A size whose
+    :meth:`~SubspaceLadder.cond_ww_bounds` entry is over ``BOUND_MARGIN``
+    times the cap is provably over it and gets no SVD.  Size 1 has
+    ``cond_ww = 1``, which every cap meets, so only a ladder with no usable
+    size has no pick: it raises :class:`NoFeasibleSubspaceError` with size
+    1's reason.  Raises ``ValueError`` for a cap that is not finite or is
+    below 1 (:func:`_check_cap`).
     """
-    if not math.isfinite(cap):
-        raise ValueError(f"condition cap must be finite, got {cap}")
+    _check_cap(cap)
+    try:
+        ladder.check(1)
+    except IllConditionedError as exc:
+        raise NoFeasibleSubspaceError(
+            f"no subspace size in [1, {ladder.model.m}] can be fitted: {exc}",
+            min_condition_number=math.inf,
+        ) from exc
     if scores is None:
-        bounds = ladder.cond_ww_bounds().tolist()
-
-        def feasible(size: int) -> bool:
-            return bounds[size - 1] <= BOUND_MARGIN * cap and ladder.cond_ww(size) <= cap
-
-        for l_size in range(ladder.rank, 0, -1):
-            if feasible(l_size):
-                return next(filter(feasible, range(ladder.smallest_tie(l_size), l_size + 1)))
-    else:
-        score = dict(enumerate(scores, start=1))
-        for l_size in sorted(score, key=lambda size: (score[size], size)):
-            if ladder.cond_ww(l_size) <= cap:
-                return l_size
-    raise _no_feasible_subspace(ladder, cap)
-
-
-def _no_feasible_subspace(ladder: SubspaceLadder, cap: float) -> NoFeasibleSubspaceError:
-    """The error for a cap no size meets, with the exact minimum ``cond_ww``.
-
-    Sizes are taken in ascending bound order, and the search stops at the
-    first bound over ``BOUND_MARGIN`` times the best exact value so far.
-    """
-    m = ladder.model.m
+        scores = ladder.mse_order()
     bounds = ladder.cond_ww_bounds().tolist()
-    min_cond = math.inf
-    for l_size in sorted(range(1, ladder.rank + 1), key=lambda size: (bounds[size - 1], size)):
-        if bounds[l_size - 1] > BOUND_MARGIN * min_cond:
-            break
-        min_cond = min(min_cond, ladder.cond_ww(l_size))
-    return NoFeasibleSubspaceError(
-        f"no subspace size in [1, {m}] keeps cond(sigma_ww) <= {cap:g}; "
-        f"minimum achievable is {min_cond:g}",
-        min_condition_number=min_cond,
+    return next(
+        l_size
+        for l_size in sorted(range(1, ladder.rank + 1), key=lambda size: (scores[size - 1], size))
+        if bounds[l_size - 1] <= BOUND_MARGIN * cap and ladder.cond_ww(l_size) <= cap
     )
 
 
@@ -274,7 +263,7 @@ def run_backtest(series: PriceSeries, sweep: SweepConfig) -> BacktestReport:
     """Fit and score all three estimators over the (M, cap) grid.
 
     Cells that cannot run (series too short for the window count or for the
-    validation split, or no feasible subspace under the cap) are recorded as
+    validation split, or no usable subspace size) are recorded as
     skipped with a reason; the run continues.  The computation is
     deterministic in (series, sweep).
     """

@@ -1,7 +1,7 @@
 """Command-line frontend: forecast, backtest, sweep, verify.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or unusable
-input), 3 numerical failure (no feasible subspace, singular solve, failed
+input), 3 numerical failure (no usable subspace size, singular solve, failed
 verification).  The environment variable ``SUBSPACE_FORECAST_LOG`` selects
 the log level (``quiet``, ``info``, ``debug``); logs go to stderr, results to
 stdout.

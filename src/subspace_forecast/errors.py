@@ -40,7 +40,7 @@ class IllConditionedError(NumericalError):
 
 
 class NoFeasibleSubspaceError(NumericalError):
-    """No subspace dimension satisfies the requested condition-number cap."""
+    """No subspace dimension can be selected under the condition-number cap."""
 
     def __init__(self, message: str, min_condition_number: float | None = None):
         super().__init__(message)

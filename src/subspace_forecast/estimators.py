@@ -236,15 +236,15 @@ class SubspaceLadder:
             subspace_dim=L,
         )
 
-    def smallest_tie(self, L: int) -> int:
-        """The smallest size whose closed-form MSE equals size ``L``'s exactly.
+    def mse_order(self) -> list[int]:
+        """The exact order of the closed-form MSE of ``L = 1..rank``, entry
+        ``L - 1``: minus the count of nonzero rows of ``W`` through row ``L``.
 
         ``mse_rd(L - 1) - mse_rd(L) = |W row L|^2`` (``posterior_L`` above),
-        so sizes tie exactly across rows of ``W`` that are exactly zero.
+        so a size is strictly better than a smaller one exactly when a row
+        between them is nonzero, and ties with it across rows that are zero.
         """
-        while L > 1 and not self._w[L - 1].any():
-            L -= 1
-        return L
+        return (-np.cumsum(self._w.any(axis=1))).tolist()
 
     def forecasts(self, y: np.ndarray) -> Iterator[np.ndarray]:
         """Forecasts of the observation rows ``y`` for ``L = 1..rank`` in turn.

@@ -12,7 +12,6 @@ from subspace_forecast import (
     BacktestReport,
     CovarianceModel,
     IllConditionedError,
-    NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
     build_l_curve,
@@ -83,10 +82,13 @@ def test_select_l_is_monotone_in_the_cap():
 
 
 def test_select_l_infeasible_cap_reports_floor():
-    model = dyadic_model()
-    with pytest.raises(NoFeasibleSubspaceError) as exc_info:
-        select_L(SubspaceLadder(model), 0.5)
-    assert exc_info.value.min_condition_number == pytest.approx(1.0)
+    # size 1's cond_ww is exactly 1, the floor of every condition number, so
+    # a cap of 1 has a pick and a cap below it is rejected, naming the floor
+    ladder = SubspaceLadder(dyadic_model())
+    assert ladder.cond_ww(select_L(ladder, 1.0)) == ladder.cond_ww(1) == 1.0
+    for cap in (float(np.nextafter(1.0, 0)), 0.5, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            select_L(ladder, cap)
 
 
 @pytest.mark.parametrize("objective", [OBJECTIVE_THEORETICAL, OBJECTIVE_VALIDATION])
@@ -273,11 +275,10 @@ def test_a_sample_with_no_usable_size_skips_its_cells(objective):
     n_test = 300 - (21 + 5) + 1 - n_train
     sweep = SweepConfig(m_values=(21,), horizon=5, n_test=n_test, objective=objective)
     report = run_backtest(series, sweep)
-    assert [cell.skipped for cell in report.cells] == [True, True]
-    assert all(
-        cell.reason.startswith("no subspace size") and cell.reason.endswith("is inf")
-        for cell in report.cells
-    )
+    assert [cell.reason for cell in report.cells] == 2 * [
+        "no subspace size in [1, 20] can be fitted: 2 centered training rows span "
+        "1 dimensions, which L=1 fits exactly (zero posterior)"
+    ]
     model = empirical_covariance(centered_windows(series, 21, 5, 300 - 25 - 2)[0])
     ladder = SubspaceLadder(model)
     assert ladder.rank == 0 and ladder.cond_ww_bounds().shape == (0,)

@@ -137,11 +137,14 @@ def test_forecast_on_a_short_sample_keeps_a_posterior(tmp_path):
 
 def test_forecast_with_no_usable_subspace_size_is_a_numerical_error(tmp_path):
     # 26 days at M=20, H=5: 2 training windows span one dimension, which
-    # size 1 already fits, so no size is left to search
+    # size 1 already fits, so no size is left to search, and the error says so
     csv = write_price_csv(tmp_path / "two.csv", gbm_prices(26, 5))
     code, out, err = run_in_process(("forecast", "--csv", csv, "--m", "20", "--h", "5"))
     assert code == 3 and out == ""
-    assert "minimum achievable is inf" in err
+    assert err.splitlines()[-1] == (
+        "error: no subspace size in [1, 19] can be fitted: 2 centered training rows span "
+        "1 dimensions, which L=1 fits exactly (zero posterior)"
+    )
 
 
 def test_forecast_l_out_of_range_is_usage_error(price_csv):
@@ -179,11 +182,16 @@ def test_forecast_rd_default_cap_is_1e4(price_csv):
 @pytest.mark.parametrize("args", [
     ("forecast", "--m", "30", "--cap", "inf"),
     ("forecast", "--m", "30", "--cap", "nan"),
+    # no condition number is below 1, so no such cap is a cap
+    ("forecast", "--m", "30", "--cap", "0.5"),
+    ("forecast", "--m", "30", "--cap", "-1"),
     ("sweep", "--m-list", "20", "--caps", "1e3", "inf"),
     ("sweep", "--m-list", "20", "--caps", "nan"),
+    ("sweep", "--m-list", "20", "--caps", "0.5"),
     ("sweep", "--m-list", "20", "30", "20", "--caps", "1e3"),
     ("sweep", "--m-list", "20", "--caps", "1e3", "1000"),
-], ids=["forecast-inf", "forecast-nan", "sweep-inf", "sweep-nan", "repeated-m", "repeated-cap"])
+], ids=["forecast-inf", "forecast-nan", "forecast-below-1", "forecast-negative", "sweep-inf",
+        "sweep-nan", "sweep-below-1", "repeated-m", "repeated-cap"])
 def test_non_finite_caps_and_repeated_grid_values_are_usage_errors(price_csv, tmp_path, args):
     out = tmp_path / "report"
     extra = ("--n-test", "100", "--out", str(out)) if args[0] == "sweep" else ()
@@ -370,7 +378,7 @@ def test_cached_parser_leaks_no_state_between_calls(price_csv, monkeypatch):
     for argv in calls:
         cli._parser.cache_clear()
         fresh.append(run_in_process(argv))
-    assert [code for code, _, _ in fresh] == [3, 0, 0, 1, 0, 0, 3]
+    assert [code for code, _, _ in fresh] == [1, 0, 0, 1, 0, 0, 1]
     cli._parser.cache_clear()
     assert [run_in_process(argv) for argv in calls] == fresh
     assert cli._parser.cache_info().misses == 1

@@ -1,19 +1,18 @@
 """Subspace-size selection computes only the values it compares.
 
-``select_L`` picks the best feasible score, ties to the smaller ``L``.
-Given scores (the validation sweep's held-out MSE of every size, one
-rank-one scan per model), it walks the sizes in ``(score, L)`` order and
-returns the first whose ``cond_ww`` meets the cap.  Without scores (a
-forecast and the theoretical sweep) the score is the closed-form MSE, which
-``mse_rd(L - 1) - mse_rd(L) = |W row L|^2`` orders exactly: it walks down
-from the largest size, skipping the sizes whose ``cond_ww`` lower bound
-rules them out, returns the first feasible one stepped down across exact
-ties, and fits and scores nothing.  These tests hold both rules to a
-brute-force reference that never calls ``select_L``, hold selection without
-a curve to selection from the full curve, decide a case where float64 ties
-by 50-digit values, count the work a forecast and a sweep do, and check the
-invariant that makes the theoretical objective well posed: ``mse_rd`` does
-not grow with ``L``.
+``select_L`` picks the best feasible score, ties to the smaller ``L``, by
+one walk for both objectives: it tries the sizes in ``(score, L)`` order,
+skips the sizes whose ``cond_ww`` lower bound rules them out, and returns
+the first whose ``cond_ww`` meets the cap.  Given scores (the validation
+sweep's held-out MSE of every size, one rank-one scan per model), those are
+the order.  Without scores (a forecast and the theoretical sweep) the order
+is the closed-form MSE's exact one, ``mse_rd(L - 1) - mse_rd(L) =
+|W row L|^2``, and nothing is fitted or scored.  These tests hold both
+objectives to a brute-force reference that never calls ``select_L``, hold
+selection without a curve to selection from the full curve, decide a case
+where float64 ties by 50-digit values, count the work a forecast and a
+sweep do, and check the invariant that makes the theoretical objective well
+posed: ``mse_rd`` does not grow with ``L``.
 """
 
 import functools
@@ -31,7 +30,6 @@ from subspace_forecast import (
     OBJECTIVE_THEORETICAL,
     OBJECTIVE_VALIDATION,
     CovarianceModel,
-    NoFeasibleSubspaceError,
     SubspaceLadder,
     SweepConfig,
     build_l_curve,
@@ -97,19 +95,12 @@ def selection_case(name, request):
     return sub_model, val_y, val_z
 
 
-def outcome(ladder, cap, scores):
-    try:
-        return select_L(ladder, cap, scores)
-    except NoFeasibleSubspaceError as exc:
-        return str(exc), exc.min_condition_number
-
-
 def check_selection_without_curve(model, val_y, val_z):
     reference = SubspaceLadder(model)
     curve = build_l_curve(reference)
     # every distinct feasibility set: each finite cond_ww as the cap (the
-    # bound is inclusive), the sweep's caps and one below every size
-    caps = sorted({p.cond_ww for p in curve if np.isfinite(p.cond_ww)} | {0.5, 1e3, 1e4})
+    # bound is inclusive; size 1's is the smallest cap, 1) and the sweep's caps
+    caps = sorted({p.cond_ww for p in curve if np.isfinite(p.cond_ww)} | {1e3, 1e4})
     theory = [p.mse_rd for p in curve]
     held_out = validation_scores(reference, val_y, val_z)
     # the pick without scores against the curve's mse_rd, and held-out MSE
@@ -118,8 +109,8 @@ def check_selection_without_curve(model, val_y, val_z):
     ladder, val_ladder = SubspaceLadder(model), SubspaceLadder(model)
     val_scores = validation_scores(val_ladder, val_y, val_z)
     for cap in caps:
-        assert outcome(ladder, cap, None) == outcome(reference, cap, theory), cap
-        assert outcome(val_ladder, cap, val_scores) == outcome(reference, cap, held_out), cap
+        assert select_L(ladder, cap) == select_L(reference, cap, theory), cap
+        assert select_L(val_ladder, cap, val_scores) == select_L(reference, cap, held_out), cap
 
 
 @pytest.mark.parametrize(
@@ -139,17 +130,8 @@ def test_selection_without_a_curve_on_the_full_train_price_model(kind):
 
 def reference_pick(conds, scores, cap):
     """Selection by brute force: the best of ``scores`` (size to score) over
-    the sizes whose ``cond_ww`` meets the cap, ties to the smaller size; for
-    a cap no size meets, the error message and minimum ``select_L`` must
-    report."""
+    the sizes whose ``cond_ww`` meets the cap, ties to the smaller size."""
     feasible = [L for L, cond in enumerate(conds, start=1) if cond <= cap]
-    if not feasible:
-        min_cond = min(conds)
-        return (
-            f"no subspace size in [1, {len(conds)}] keeps cond(sigma_ww) <= {cap:g}; "
-            f"minimum achievable is {min_cond:g}",
-            min_cond,
-        )
     return min(feasible, key=lambda L: (scores[L], L))
 
 
@@ -167,13 +149,9 @@ def check_against_reference(model, score, ladder_scores, rtol=0.0):
     }
     ladder = SubspaceLadder(model)  # one ladder serves every cap
     given = ladder_scores(ladder)
-    for cap in sorted({c for c in conds if np.isfinite(c)} | {0.5, 1e3, 1e4}):
+    for cap in sorted({c for c in conds if np.isfinite(c)} | {1e3, 1e4}):
         want = reference_pick(conds, scores, cap)
-        try:
-            got = select_L(ladder, cap, given)
-        except NoFeasibleSubspaceError as exc:
-            assert (str(exc), exc.min_condition_number) == want, cap
-            continue
+        got = select_L(ladder, cap, given)
         assert got == want or abs(scores[got] - scores[want]) <= rtol * scores[want], cap
         assert ladder.cond_ww(got) == conds[got - 1] <= cap
 
@@ -289,8 +267,8 @@ def test_score_tie_with_an_infeasible_smaller_size_picks_the_larger():
     assert conds[3] > 7 >= conds[4] and max(conds[:3]) <= 7
     scores = [4.0, 3.0, 2.0, 1.0, 1.0]
     assert select_L(ladder, 7, scores) == 5
-    for cap in sorted(set(conds) | {0.5}):
-        assert outcome(ladder, cap, scores) == reference_pick(
+    for cap in sorted(set(conds)):
+        assert select_L(ladder, cap, scores) == reference_pick(
             conds, dict(enumerate(scores, start=1)), cap
         ), cap
 
@@ -312,11 +290,31 @@ def test_exact_ties_step_down_past_an_infeasible_size():
     ladder = SubspaceLadder(model)
     conds = [ladder.cond_ww(L) for L in range(1, 6)]
     assert conds == pytest.approx([1, 1.16, 5.22, 8.36, 6.41], abs=5e-3)
-    assert ladder.smallest_tie(5) == 1
+    assert ladder.mse_order() == [0] * 5
     assert select_L(ladder, 7) == 1
-    for cap in sorted(set(conds) | {0.5}):
-        assert outcome(SubspaceLadder(model), cap, None) == reference_pick(
+    for cap in sorted(set(conds)):
+        assert select_L(SubspaceLadder(model), cap) == reference_pick(
             conds, dict.fromkeys(range(1, 6), 0.0), cap
+        ), cap
+
+
+@given(seed=seeds, dim=st.integers(3, 16), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_exact_ties_match_a_brute_force_reference(seed, dim, data):
+    # a generic model orders every size strictly; with sigma_yz = 0 (same
+    # basis, same cond_ww) every size ties, and every cap picks the smallest
+    # feasible size of the reference under equal scores
+    m = data.draw(st.integers(1, dim - 1))
+    generic = random_model(dim, m, seed)
+    order = SubspaceLadder(generic).mse_order()
+    assert all(a > b for a, b in zip(order, order[1:])), order
+    tied = with_cross_block(generic, np.zeros((m, dim - m)))
+    ladder = SubspaceLadder(tied)
+    assert ladder.mse_order() == [0] * ladder.rank
+    conds = [ladder.cond_ww(L) for L in range(1, m + 1)]
+    for cap in sorted({c for c in conds if np.isfinite(c)}):
+        assert select_L(SubspaceLadder(tied), cap) == reference_pick(
+            conds, dict.fromkeys(range(1, m + 1), 0.0), cap
         ), cap
 
 
@@ -340,21 +338,22 @@ def test_a_gain_below_float_resolution_is_decided_by_the_exact_rule():
 @pytest.mark.parametrize("kind", sorted(GENERATORS))
 @pytest.mark.parametrize("m_days", [20, 200])
 def test_no_feasible_size_reports_the_brute_force_minimum(kind, m_days):
+    # the brute-force minimum of cond_ww is size 1's, exactly 1, the floor of
+    # every condition number: a cap of 1 has a pick under both objectives,
+    # and a cap below it leaves no size feasible and is rejected, naming the
+    # floor, before any SVD
     model = sweep_cell(kind, m_days)[0]
     curve = build_l_curve(SubspaceLadder(model))  # every size's cond_ww, no bounds
     conds = [p.cond_ww for p in curve]
-    curve_ladder = SubspaceLadder(model)  # one ladder serves every cap
-    for cap in (-1.0, 0.0, 0.5, float(np.nextafter(min(conds), 0))):
-        want = reference_pick(conds, {}, cap)
-        for ladder, scores in (
-            (SubspaceLadder(model), None),
-            (curve_ladder, [p.mse_rd for p in curve]),
-        ):
-            with pytest.raises(NoFeasibleSubspaceError) as info:
+    assert min(conds) == conds[0] == 1.0
+    assert [L for L, cond in enumerate(conds, start=1) if cond <= 1.0] == [1]
+    for scores in (None, [p.mse_rd for p in curve]):
+        assert select_L(SubspaceLadder(model), 1.0, scores) == 1
+        ladder = SubspaceLadder(model)
+        for cap in (-1.0, 0.0, 0.5, float(np.nextafter(min(conds), 0))):
+            with pytest.raises(ValueError, match="finite and >= 1"):
                 select_L(ladder, cap, scores)
-            assert (str(info.value), info.value.min_condition_number) == want, (cap, scores)
-            if scores is None:  # the bounds stop the search for the minimum early
-                assert len(ladder._cond_ww) < ladder.rank
+        assert ladder._cond_ww == {}
 
 
 @pytest.fixture
@@ -406,17 +405,21 @@ def assert_one_svd_per_size(calls):
 def forecast_work(work, csv, m_days, cap):
     """Run ``forecast --m m_days --cap cap`` on ``csv`` and check its work:
     only the chosen size is fitted, once, no closed-form MSE is computed,
-    and the SVDs are the sizes whose bound does not rule them out, in
-    descending ``L`` down to the chosen size.  Returns the ladder, the
-    candidates and the SVD'd sizes."""
+    and the SVDs are the sizes whose bound does not rule them out, in the
+    ``(score, L)`` order of the closed-form MSE's exact order, up to the
+    chosen size.  Returns the ladder, the candidates and the SVD'd sizes."""
     assert cli.main(["forecast", "--csv", csv, "--m", str(m_days), "--cap", str(cap)]) == 0
     ((ladder, chosen),) = work["fit"]
     assert work["mse"] == []
     assert_one_svd_per_size(work)
     assert {lad for lad, _ in work["svd"]} == {ladder}
     svds = [L for _, L in work["svd"]]
-    bounds = ladder.cond_ww_bounds()
-    candidates = [L for L in range(ladder.rank, 0, -1) if bounds[L - 1] <= BOUND_MARGIN * cap]
+    bounds, order = ladder.cond_ww_bounds(), ladder.mse_order()
+    candidates = [
+        L
+        for L in sorted(range(1, ladder.rank + 1), key=lambda L: (order[L - 1], L))
+        if bounds[L - 1] <= BOUND_MARGIN * cap
+    ]
     assert svds == candidates[: candidates.index(chosen) + 1]
     return ladder, candidates, svds
 
@@ -458,8 +461,10 @@ def test_forecast_with_a_pinned_size_runs_one_svd(work, tmp_path, capsys):
 
 def validation_sweep_work(kind, work):
     """Run a two-M, two-cap validation sweep on ``<kind>_prices(1500, 3)``
-    and check its work and picks; returns ``{m: (SVDs, rank)}`` per sub-train
-    ladder and the number of picks that fell back to the full-train curve."""
+    and check its work and picks; returns ``{m: (SVDs, unpruned SVDs,
+    rank)}`` per sub-train ladder, the unpruned count being the sizes the
+    walk passes with no bound, and the number of picks that fell back to
+    the full-train curve."""
     sweep = SweepConfig(
         m_values=(20, 40), condition_caps=(1e3, 1e4), n_test=600, objective=OBJECTIVE_VALIDATION
     )
@@ -479,15 +484,20 @@ def validation_sweep_work(kind, work):
         if ladder not in sub_ladders:
             assert sizes == list(range(1, ladder.rank + 1))  # the full-train curve
             continue
-        # a sub-train ladder: the sizes in (score, L) order up to the first
-        # one each cap admits, the smallest cap walking furthest
+        # a sub-train ladder: each cap walks the sizes in (score, L) order up
+        # to the first one it admits, and runs the SVD of the sizes on that
+        # prefix whose bound does not rule them out under it
         _, _, val_y, val_z = sweep_split(series, ladder.model.m + 1, sweep.n_test)
         scores = validation_scores(ladder, val_y, val_z)
         order = sorted(range(1, ladder.rank + 1), key=lambda L: (scores[L - 1], L))
-        cap = min(sweep.condition_caps)
-        stop = next(i for i, L in enumerate(order) if ladder.cond_ww(L) <= cap)
-        assert sizes == sorted(order[: stop + 1])
-        walked[ladder.model.m] = (len(sizes), ladder.rank)
+        bounds = ladder.cond_ww_bounds()
+        expected, unpruned = set(), set()
+        for cap in sweep.condition_caps:
+            stop = next(i for i, L in enumerate(order) if ladder.cond_ww(L) <= cap)
+            unpruned.update(order[: stop + 1])
+            expected.update(L for L in order[: stop + 1] if bounds[L - 1] <= BOUND_MARGIN * cap)
+        assert sizes == sorted(expected)
+        walked[ladder.model.m] = (len(sizes), len(unpruned), ladder.rank)
         # every cap's pick by brute force: the best feasible score on the
         # sub-train model, or the full-train curve's best where that size
         # breaks the cap on the full-train model
@@ -506,13 +516,15 @@ def validation_sweep_work(kind, work):
 
 
 def test_validation_sweep_scores_no_size_on_a_sub_train_ladder(work):
-    _, fallbacks = validation_sweep_work("smooth", work)
+    walked, fallbacks = validation_sweep_work("smooth", work)
     assert fallbacks > 0  # so the fallback's pick is checked too
+    # the bounds prune sizes the walk passes, so skipping them shows
+    assert all(n_svd < n_unpruned for n_svd, n_unpruned, _ in walked.values()), walked
 
 
 def test_validation_sweep_walks_fewer_sub_train_sizes_than_the_rank(work):
     walked, _ = validation_sweep_work("gbm", work)
-    assert all(n_svd < rank for n_svd, rank in walked.values()), walked
+    assert all(n_svd < rank for n_svd, _, rank in walked.values()), walked
 
 
 def test_validation_fallback_picks_from_the_full_train_curve():
