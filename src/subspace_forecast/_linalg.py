@@ -26,8 +26,11 @@ SINGULARITY_RTOL = 1e-15
 
 def covariance_eigh(a: np.ndarray, what: str, vectors: bool = True):
     """``(symmetric a, ascending eigenvalues, eigenvectors or None)`` of a
-    covariance: :class:`DomainError` names ``what`` unless ``a`` is symmetric
-    to 1e-12 relative and no eigenvalue is below ``-1e-10`` times the largest."""
+    covariance: :class:`DomainError` names ``what`` unless ``a`` is square,
+    symmetric to 1e-12 relative and no eigenvalue is below ``-1e-10`` times
+    the largest."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"{what} must be square, got {a.shape}")
     scale = float(np.abs(a).max(initial=0.0))
     if scale > 0 and float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise DomainError(f"{what} is not symmetric within 1e-12 relative")

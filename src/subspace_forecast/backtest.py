@@ -216,8 +216,7 @@ def select_L(ladder: SubspaceLadder, cap: float, scores: list[float] | None = No
         ladder.check(1)
     except IllConditionedError as exc:
         raise NoFeasibleSubspaceError(
-            f"no subspace size in [1, {ladder.model.m}] can be fitted: {exc}",
-            min_condition_number=math.inf,
+            f"no subspace size in [1, {ladder.model.m}] can be fitted: {exc}"
         ) from exc
     if scores is None:
         scores = ladder.mse_order()

@@ -236,18 +236,15 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
     """Return (name, value, target, limit_desc, diff, limit) verification rows."""
     if cov_csv is not None:
         spec = load_gaussian_spec(cov_csv, seed)
-        cov = spec.true_cov
-        dim = spec.dim
-        m = split if split is not None else max(1, (2 * dim) // 3)
-        if not 1 <= m < dim:
-            raise ValueError(f"--split must be in [1, {dim - 1}], got {m}")
+        m = split if split is not None else max(1, (2 * spec.dim) // 3)
+        if not 1 <= m < spec.dim:
+            raise ValueError(f"--split must be in [1, {spec.dim - 1}], got {m}")
     else:
         if split is not None:
             raise ValueError("--split needs --cov-csv")
-        dim, m = 30, 20
-        cov = random_covariance(dim, geometric_spectrum(dim, 1e2), seed)
-        spec = GaussianSpec(dim=dim, true_cov=cov, seed=seed)
-    model = CovarianceModel.from_matrix(cov, m)
+        m = 20
+        spec = GaussianSpec(random_covariance(geometric_spectrum(30, 1e2), seed), seed)
+    model = CovarianceModel.from_matrix(spec.true_cov, m)
     unc = fit_unconditional(model)
     gb_clean = fit_gauss_bayes(model)
     gb = replace(gb_clean, coeff=np.zeros_like(gb_clean.coeff)) if corrupt else gb_clean
@@ -263,7 +260,7 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
         rows.append((name, value, target, tol_desc, abs(value - target), limit))
 
     # closed-form MSE against fresh-draw Monte-Carlo, common draws per seed
-    sq_errors = dict(zip(estimators, mc_squared_errors(spec, list(estimators.values()), m, n)))
+    sq_errors = dict(zip(estimators, mc_squared_errors(spec, list(estimators.values()), n)))
     for name, est in estimators.items():
         closed = theoretical_mse(model, est)
         check(f"mse/{name}", float(sq_errors[name].mean()), closed, "5% rel", 0.05 * closed)
@@ -273,7 +270,7 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
     biased = {"unc": unc}
     biased.update({f"rd[L={l}]": rd[l] for l in l_grid if l != m})
     biased["gb-conditional"] = gb
-    for (name, est), b in zip(biased.items(), mc_bias(spec, list(biased.values()), m, n)):
+    for (name, est), b in zip(biased.items(), mc_bias(spec, list(biased.values()), n)):
         target = squared_bias(model, est)  # unc: trace(sigma_zz)
         check(f"bias/{name}", b.value, target, "5% rel + 3 se", 0.05 * target + 3 * b.se)
 

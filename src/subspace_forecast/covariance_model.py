@@ -52,16 +52,13 @@ class CovarianceModel:
         """Build a model from an explicit covariance matrix, taken from
         ``n_samples`` centered rows if given.
 
-        The matrix must be square and a valid covariance
+        The matrix must be a valid covariance
         (:func:`~subspace_forecast._linalg.covariance_eigh`).
         """
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ValueError(f"covariance must be square, got {sigma.shape}")
+        sigma, s, vecs = covariance_eigh(np.asarray(sigma, dtype=float), "covariance")
         d = sigma.shape[0]
         if not 1 <= m < d:
             raise ValueError(f"split m must be in [1, {d - 1}], got {m}")
-        sigma, s, vecs = covariance_eigh(sigma, "covariance")
         order = np.argsort(-s, kind="stable")
         return cls(sigma_xx=sigma, m=m, V=vecs[:, order], n_samples=n_samples)
 

@@ -39,9 +39,9 @@ __all__ = [
 class PriceSeries:
     """End-of-day closing prices for one ticker, in calendar order.
 
-    ``dates`` must be strictly increasing (as strings, which is calendar
-    order for ISO dates); it is checked in one pass, and the first pair out
-    of order is named only when the check fails.
+    ``dates`` must be strictly increasing as strings, which is calendar order
+    only for ``YYYY-MM-DD`` dates, the one form :func:`load_csv` accepts; it is
+    checked in one pass, and the first pair out of order is named on failure.
     """
 
     ticker: str
@@ -160,6 +160,9 @@ def load_csv(path: str) -> PriceSeries:
         if list(map(str.count, rows, repeat(","))).count(1) < len(rows):
             raise ValueError("a row without exactly one comma")
         list(map(_date.fromisoformat, dates))
+        days = "".join(dates)  # YYYY-MM-DD only: 10 characters, dashes at 4 and 7
+        if set(map(len, dates)) != {10} or (days[4::10] + days[7::10]).strip("-"):
+            raise ValueError("a date not in YYYY-MM-DD form")
         prices = np.array(list(map(float, fields[1::2])))
         if not np.all(np.isfinite(prices) & (prices > 0)):
             raise ValueError("a price out of domain")
@@ -192,7 +195,8 @@ def _check_row(path: str, lineno: int, text: str) -> None:
         raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
     token = token.strip()
     try:
-        _date.fromisoformat(token)
+        if _date.fromisoformat(token).isoformat() != token:
+            raise ValueError("expected YYYY-MM-DD")
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
     try:

@@ -41,7 +41,3 @@ class IllConditionedError(NumericalError):
 
 class NoFeasibleSubspaceError(NumericalError):
     """No subspace dimension can be selected under the condition-number cap."""
-
-    def __init__(self, message: str, min_condition_number: float | None = None):
-        super().__init__(message)
-        self.min_condition_number = min_condition_number

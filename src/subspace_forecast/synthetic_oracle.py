@@ -52,23 +52,28 @@ MC_BIAS_REPLICATES = 100
 # 30-dimensional verify law is 0.5 MB, so it and its forecast errors stay in
 # a core's cache between the draw and the scoring.
 SAMPLE_BLOCK = 2048
+# Drift of :func:`gbm_prices` and AR(1) coefficient of :func:`smooth_prices`;
+# every benchmark input and pinned benchmark result is drawn with these values.
+GBM_DRIFT = 2e-4
+SMOOTH_AR = 0.9
 
 
 @dataclass(frozen=True)
 class GaussianSpec:
     """A ground-truth zero-mean Gaussian law: covariance and a sampling seed."""
 
-    dim: int
     true_cov: np.ndarray
     seed: int = 0
 
     def __post_init__(self):
         cov = np.asarray(self.true_cov, dtype=float)
-        if cov.shape != (self.dim, self.dim):
-            raise ValueError(f"true_cov must be ({self.dim}, {self.dim}), got {cov.shape}")
         cov, _, _ = covariance_eigh(cov, "true_cov", vectors=False)
         cov.flags.writeable = False
         object.__setattr__(self, "true_cov", cov)
+
+    @property
+    def dim(self) -> int:
+        return self.true_cov.shape[0]
 
 
 @dataclass(frozen=True)
@@ -117,33 +122,33 @@ def sample(spec: GaussianSpec, n: int) -> np.ndarray:
     return np.concatenate([block for _, block in _sample_blocks(spec, n)])
 
 
-def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> None:
-    """Raise ``ValueError`` unless every estimator fits the spec split at
-    ``split`` and ``n`` asks for at least one draw."""
+def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> int:
+    """The ``m`` every estimator shares: raise ``ValueError`` unless they share
+    one, ``m + horizon`` is the spec dim, and ``n`` asks for at least one draw."""
     if not ests:
         raise ValueError("need at least one estimator")
-    h = spec.dim - split
+    split = ests[0].m
     for est in ests:
-        if split != est.m or h != est.horizon:
+        if (est.m, est.m + est.horizon) != (split, spec.dim):
             raise ValueError(
                 f"estimator shape ({est.horizon}, {est.m}) does not match spec dim "
                 f"{spec.dim} split at {split}"
             )
     _check_count(n)
+    return split
 
 
-def mc_squared_errors(
-    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
-) -> list[np.ndarray]:
+def mc_squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[np.ndarray]:
     """Squared forecast error ``||z - C y||^2`` of each estimator on each of
-    ``n`` fresh draws, the draws of :func:`sample` ``(spec, n)``.
+    ``n`` fresh draws, the draws of :func:`sample` ``(spec, n)``, split after
+    the estimators' ``m`` observed coordinates.
 
     The draws are made and scored one block of rows at a time, and each
     block serves every estimator (common random numbers), so the errors of a
     list equal those of one-element calls bit for bit, and differences
     between estimators carry no independent sampling noise.
     """
-    _check_inputs(spec, ests, split, n)
+    split = _check_inputs(spec, ests, n)
     out = [np.empty(n) for _ in ests]
     for rows, x in _sample_blocks(spec, n):
         y, z = x[:, :split], x[:, split:]
@@ -153,17 +158,13 @@ def mc_squared_errors(
     return out
 
 
-def mc_mse(
-    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
-) -> list[McEstimate]:
+def mc_mse(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEstimate]:
     """Empirical mean squared error of each estimator over ``n`` fresh draws,
     the means of :func:`mc_squared_errors`."""
-    return [McEstimate.of(sq) for sq in mc_squared_errors(spec, ests, split, n)]
+    return [McEstimate.of(sq) for sq in mc_squared_errors(spec, ests, n)]
 
 
-def mc_bias(
-    spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int
-) -> list[McEstimate]:
+def mc_bias(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEstimate]:
     """Empirical squared conditional bias of each estimator, stratified on the
     future block.
 
@@ -186,7 +187,7 @@ def mc_bias(
     estimator (common random numbers): the estimates of a list equal those of
     one-element calls bit for bit.
     """
-    _check_inputs(spec, ests, split, n)
+    split = _check_inputs(spec, ests, n)
     cov = spec.true_cov
     syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
     n_rep = max(2, min(MC_BIAS_REPLICATES, n))
@@ -217,15 +218,15 @@ def mc_bias(
     return [McEstimate.of(b_k, n_z * n_rep) for b_k in bias]
 
 
-def random_covariance(dim: int, spectrum: np.ndarray, seed: int = 0) -> np.ndarray:
+def random_covariance(spectrum: np.ndarray, seed: int = 0) -> np.ndarray:
     """Covariance with the given eigenvalues on a random orthogonal basis."""
     s = np.asarray(spectrum, dtype=float)
-    if s.shape != (dim,):
-        raise ValueError(f"spectrum must have shape ({dim},), got {s.shape}")
+    if s.ndim != 1:
+        raise ValueError(f"spectrum must be 1-d, got shape {s.shape}")
     if np.any(s < 0):
         raise ValueError("spectrum must be nonnegative")
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
     return symmetrize((q * s) @ q.T)
 
 
@@ -244,18 +245,18 @@ def load_gaussian_spec(path: str, seed: int = 0) -> GaussianSpec:
         if isinstance(exc, OSError):
             raise
         raise ParseError(f"{path}: not a numeric CSV matrix: {exc}") from exc
-    return GaussianSpec(dim=cov.shape[0], true_cov=cov, seed=seed)
+    return GaussianSpec(cov, seed)
 
 
-def gbm_prices(n, seed, mu=2e-4, sigma=0.015, start=100.0):
-    """Plain geometric Brownian motion, the everyday well-behaved input."""
+def gbm_prices(n, seed, sigma=0.015, start=100.0):
+    """Geometric Brownian motion with drift ``GBM_DRIFT``, the everyday well-behaved input."""
     rng = np.random.default_rng(seed)
-    steps = mu + sigma * rng.standard_normal(n - 1)
+    steps = GBM_DRIFT + sigma * rng.standard_normal(n - 1)
     return start * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-def smooth_prices(n, seed, sigma=0.004, rho=0.9, start=100.0):
-    """Slow trends plus an AR(1)-smoothed random walk.
+def smooth_prices(n, seed, sigma=0.004, start=100.0):
+    """Slow trends plus an AR(1)-smoothed random walk (coefficient ``SMOOTH_AR``).
 
     Windows drawn from this path are highly collinear, which drives the
     observation-block condition number past 1e5 for M around 80 — the
@@ -273,6 +274,6 @@ def smooth_prices(n, seed, sigma=0.004, rho=0.9, start=100.0):
     ar = np.empty(n)
     ar[0] = eps[0]
     for i in range(1, n):
-        ar[i] = rho * ar[i - 1] + eps[i]
-    noise = np.cumsum(sigma * ar * np.sqrt(1.0 - rho**2))
+        ar[i] = SMOOTH_AR * ar[i - 1] + eps[i]
+    noise = np.cumsum(sigma * ar * np.sqrt(1.0 - SMOOTH_AR**2))
     return start * np.exp(log_trend + noise)

@@ -53,9 +53,7 @@ FIXTURE_SEED = 13
 
 @pytest.fixture(scope="session")
 def pinned_cov():
-    return random_covariance(
-        FIXTURE_DIM, geometric_spectrum(FIXTURE_DIM, 1e2), seed=FIXTURE_SEED
-    )
+    return random_covariance(geometric_spectrum(FIXTURE_DIM, 1e2), seed=FIXTURE_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +63,7 @@ def pinned_model(pinned_cov):
 
 @pytest.fixture(scope="session")
 def pinned_spec(pinned_cov):
-    return GaussianSpec(FIXTURE_DIM, pinned_cov, seed=FIXTURE_SEED)
+    return GaussianSpec(pinned_cov, seed=FIXTURE_SEED)
 
 
 # One-line verdicts recorded by tests/test_acceptance.py, echoed after the

@@ -73,7 +73,7 @@ def test_criterion_01_oracle_mse_agreement(pinned_model, pinned_spec):
     for L in RD_SIZES:
         ests[f"rd[L={L}]"] = SubspaceLadder(pinned_model).fit(L)
     worst_name, worst = "", 0.0
-    mcs = mc_mse(pinned_spec, list(ests.values()), FIXTURE_SPLIT, N_DRAWS)
+    mcs = mc_mse(pinned_spec, list(ests.values()), N_DRAWS)
     for (name, est), mc in zip(ests.items(), mcs):
         rel = abs(mc.value / theoretical_mse(pinned_model, est) - 1.0)
         if rel > worst:
@@ -94,7 +94,7 @@ def test_criterion_02_bias_agreement(pinned_model, pinned_spec):
     rd = SubspaceLadder(pinned_model).fit(10)
     gb = fit_gauss_bayes(pinned_model)
     mc_unc, mc_rd, mc_gb = mc_bias(
-        pinned_spec, [fit_unconditional(pinned_model), rd, gb], FIXTURE_SPLIT, N_DRAWS
+        pinned_spec, [fit_unconditional(pinned_model), rd, gb], N_DRAWS
     )
 
     target_unc = float(np.trace(pinned_model.sigma_zz))
@@ -120,7 +120,6 @@ def test_criterion_03_optimality_ordering(pinned_model, pinned_spec):
         pinned_spec,
         [fit_gauss_bayes(pinned_model), fit_unconditional(pinned_model)]
         + [ladder.fit(L) for L in RD_SIZES],
-        FIXTURE_SPLIT,
         N_DRAWS,
     )
     margins = []
@@ -197,7 +196,7 @@ def test_criterion_05_conditioning():
 
 
 def test_criterion_06_mse_vs_l_curve_shape():
-    cov = random_covariance(30, geometric_spectrum(30, 1e8), seed=5)
+    cov = random_covariance(geometric_spectrum(30, 1e8), seed=5)
     model = CovarianceModel.from_matrix(cov, m=20)
     mses = np.array([p.mse_rd for p in build_l_curve(SubspaceLadder(model))])
     slack = 1e-9 * float(mses[0])

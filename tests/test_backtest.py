@@ -31,7 +31,7 @@ from conftest import gbm_prices, smooth_prices, to_series
 def dyadic_model(seed=0, dim=24, horizon=8):
     spec = 2.0 ** (-np.arange(dim, dtype=float))
     return CovarianceModel.from_matrix(
-        random_covariance(dim, spec, seed=seed), m=dim - horizon
+        random_covariance(spec, seed=seed), m=dim - horizon
     )
 
 

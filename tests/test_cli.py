@@ -214,6 +214,14 @@ def test_malformed_csv_is_a_data_error(tmp_path):
     assert ":3:" in proc.stderr  # the offending line is named
 
 
+def test_dates_not_in_yyyy_mm_dd_form_are_a_data_error(tmp_path):
+    p = tmp_path / "forms.csv"
+    p.write_text("2020-01-01,1.0\n20200101,2.0\n2020-W01-3,4.0\n2020-01-02,5.0\n")
+    proc = run_cli("forecast", "--csv", str(p), "--m", "2", "--h", "1", "--method", "unc")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {p}:2: bad date '20200101': ")
+
+
 def test_csv_that_is_not_utf8_is_a_data_error(tmp_path):
     p = tmp_path / "bad_enc.csv"
     p.write_bytes(b"date,close\n2001-01-02,10.0\n2001-01-03,1\xe9\n")
@@ -328,13 +336,21 @@ def test_verify_small_n_is_advisory():
 def test_verify_with_explicit_covariance(tmp_path):
     import subspace_forecast as sf
 
-    cov = sf.random_covariance(12, sf.geometric_spectrum(12, 50.0), seed=4)
+    cov = sf.random_covariance(sf.geometric_spectrum(12, 50.0), seed=4)
     model = sf.CovarianceModel.from_matrix(cov, m=8)
     path = tmp_path / "cov.csv"
     sf.dump_covariance_csv(model, str(path))
     proc = run_cli("verify", "--cov-csv", str(path), "--split", "8",
                    "--seed", "3", "--n", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_verify_with_a_non_square_covariance_is_a_data_error(tmp_path):
+    path = tmp_path / "cov.csv"
+    path.write_text("1,0,0\n0,1,0\n")
+    proc = run_cli("verify", "--cov-csv", str(path), "--n", "1000")
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("error: true_cov must be square, got (2, 3)\n")
 
 
 def test_verify_split_without_a_covariance_csv_is_usage_error():

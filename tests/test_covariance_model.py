@@ -75,7 +75,7 @@ def test_from_matrix_validates_input():
 
 # Both constructors of a covariance apply the one validity rule.
 COVARIANCE_TAKERS = {
-    "GaussianSpec": lambda a: GaussianSpec(a.shape[0], a),
+    "GaussianSpec": GaussianSpec,
     "from_matrix": lambda a: CovarianceModel.from_matrix(a, m=2),
 }
 
@@ -92,6 +92,8 @@ def covariance_with(min_eig, asym):
 @pytest.mark.parametrize("take", sorted(COVARIANCE_TAKERS))
 def test_both_constructors_apply_one_covariance_rule(take):
     take = COVARIANCE_TAKERS[take]
+    with pytest.raises(DomainError, match=r"must be square, got \(4, 5\)"):
+        take(np.ones((4, 5)))
     with pytest.raises(DomainError, match="not symmetric within 1e-12 relative"):
         take(covariance_with(0.0, 1e-11))
     with pytest.raises(DomainError, match="not positive semidefinite within 1e-10 relative"):

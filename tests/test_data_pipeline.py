@@ -108,12 +108,14 @@ def test_load_csv_skips_blank_lines(tmp_path):
 
 
 def iso_error(token):
-    """The message ``date.fromisoformat`` gives for ``token``."""
-    from datetime import date
-
-    with pytest.raises(ValueError) as info:
-        date.fromisoformat(token)
-    return str(info.value)
+    """The reason ``load_csv`` gives for the date ``token``: the message of
+    ``date.fromisoformat``, or the ``YYYY-MM-DD`` rule for another form it
+    parses (Python 3.11 and later)."""
+    try:
+        _date.fromisoformat(token)
+    except ValueError as exc:
+        return str(exc)
+    return "expected YYYY-MM-DD"
 
 
 def utf8_error(data):
@@ -145,6 +147,15 @@ MALFORMED = {
     "bad date": (
         "2001-13-40,10.0\n2001-01-03,11.0\n", ParseError,
         f":1: bad date '2001-13-40': {iso_error('2001-13-40')}",
+    ),
+    # three rows name 1 Jan 2020, and as strings the series is out of order
+    "dates not YYYY-MM-DD": (
+        "2020-01-01,1.0\n20200101,2.0\n2020-W01-3,4.0\n2020-01-02,5.0\n", ParseError,
+        f":2: bad date '20200101': {iso_error('20200101')}",
+    ),
+    "week date": (
+        "2001-01-02,10.0\n2001-W01-3,11.0\n", ParseError,
+        f":2: bad date '2001-W01-3': {iso_error('2001-W01-3')}",
     ),
     "header past line 1": (
         "\ndate,close\n2001-01-03,11.0\n", ParseError,
@@ -224,7 +235,8 @@ def test_load_csv_reads_variants_as_the_plain_file(case, tmp_path):
 
 
 def reference_load_csv(path: str) -> PriceSeries:
-    """The line-by-line reader that the column parser replaced, kept verbatim."""
+    """The line-by-line reader that the column parser replaced, with the
+    ``YYYY-MM-DD`` date rule."""
     dates: list[str] = []
     prices: list[float] = []
     linenos: list[int] = []
@@ -240,7 +252,8 @@ def reference_load_csv(path: str) -> PriceSeries:
                 raise ParseError(f"{path}:{lineno}: expected 'date,close', got {text!r}")
             token = token.strip()
             try:
-                _date.fromisoformat(token)
+                if _date.fromisoformat(token).isoformat() != token:
+                    raise ValueError("expected YYYY-MM-DD")
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad date {token!r}: {exc}") from exc
             try:
@@ -280,8 +293,8 @@ _BLANK = st.sampled_from(["", "   ", "\t"])
 _HEADER = st.sampled_from(["date,close", "DATE, close", " date,close "])
 _MALFORMED = st.sampled_from([
     "2001-01-02 10.0", "2001-01-02,1,2", ",", "a,b,c", "2001-13-40,1.0", "20010102,1.0",
-    "2001-02-30,x", "2001-01-02,abc", "2001-01-02,", "2001-01-02,-1", "2001-01-02,0",
-    "2001-01-02,nan", "2001-01-02,-inf", "2001-01-02,1e999",
+    "2001-W01-3,1.0", "2001-02-30,x", "2001-01-02,abc", "2001-01-02,", "2001-01-02,-1",
+    "2001-01-02,0", "2001-01-02,nan", "2001-01-02,-inf", "2001-01-02,1e999",
 ])
 
 
