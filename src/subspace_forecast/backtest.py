@@ -378,8 +378,8 @@ def emit_report(report: BacktestReport, out_dir: str) -> list[Path]:
 
     _write_csv(
         out / "condition.csv",
-        ("M", "cond_yy", "cond_ww"),
-        ((c.M, c.cond_yy, c.cond_ww) for c in active),
+        ("M", "cap", "cond_yy", "cond_ww"),
+        ((c.M, c.cap, c.cond_yy, c.cond_ww) for c in active),
     )
 
     directional_rows = []

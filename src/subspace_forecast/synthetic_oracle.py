@@ -241,9 +241,7 @@ def load_gaussian_spec(path: str, seed: int = 0) -> GaussianSpec:
     """Read a covariance matrix from a plain CSV file (testing convenience)."""
     try:
         cov = np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise ParseError(f"{path}: not a numeric CSV matrix: {exc}") from exc
     return GaussianSpec(cov, seed)
 

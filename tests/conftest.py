@@ -1,6 +1,8 @@
 """Shared fixtures: synthetic price paths and a pinned Gaussian test problem."""
 
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,15 @@ __all__ = ["gbm_prices", "smooth_prices", "to_series", "write_price_csv"]
 # import the package from the same source tree as this process.
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
+CLI = [sys.executable, "-m", "subspace_forecast"]
+
+
+def run_cli(*args, env_extra=None):
+    """Run the CLI in a child process at the quiet log level unless
+    ``env_extra`` sets another; return the completed process."""
+    env = {**os.environ, "SUBSPACE_FORECAST_LOG": "quiet", **(env_extra or {})}
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env, timeout=330)
 
 
 def to_series(prices, ticker="synthetic"):

@@ -12,9 +12,6 @@ forecasters; its figure equals the reduced-dimension one at ``L = m``.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -23,6 +20,7 @@ import conftest
 from conftest import (
     FIXTURE_SPLIT,
     gbm_prices,
+    run_cli,
     smooth_prices,
     to_series,
     write_price_csv,
@@ -46,8 +44,6 @@ from subspace_forecast import (
     theoretical_mse,
 )
 
-CLI = [sys.executable, "-m", "subspace_forecast"]
-QUIET = {**os.environ, "SUBSPACE_FORECAST_LOG": "quiet"}
 
 
 def record(number, name, ok, detail):
@@ -55,12 +51,6 @@ def record(number, name, ok, detail):
     conftest.ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
-
-
-def run_cli(*args):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=QUIET, timeout=330
-    )
 
 
 N_DRAWS = 100_000

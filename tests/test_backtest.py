@@ -18,12 +18,15 @@ from subspace_forecast import (
     centered_windows,
     emit_report,
     empirical_covariance,
+    fit_gauss_bayes,
     random_covariance,
     run_backtest,
     select_L,
+    squared_bias,
     validation_scores,
 )
 from subspace_forecast._linalg import spectral_condition
+from subspace_forecast.backtest import _evaluate_method
 
 from conftest import gbm_prices, smooth_prices, to_series
 
@@ -45,6 +48,8 @@ def test_sweep_config_validation():
         SweepConfig(m_values=(20,), horizon=0)
     with pytest.raises(ValueError):
         SweepConfig(m_values=(20,), condition_caps=(0.5,))
+    with pytest.raises(ValueError, match="caps must not be empty"):
+        SweepConfig(m_values=(20,), condition_caps=())
     for cap in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="finite"):
             SweepConfig(m_values=(20,), condition_caps=(1e3, cap))
@@ -81,7 +86,7 @@ def test_select_l_is_monotone_in_the_cap():
         assert picks == sorted(picks), f"seed {seed}: {picks}"
 
 
-def test_select_l_infeasible_cap_reports_floor():
+def test_select_l_rejects_a_cap_below_one():
     # size 1's cond_ww is exactly 1, the floor of every condition number, so
     # a cap of 1 has a pick and a cap below it is rejected, naming the floor
     ladder = SubspaceLadder(dyadic_model())
@@ -245,6 +250,23 @@ def test_singular_observation_block_reports_no_gb():
     assert set(cell.results) == {"unc", "rd"}
 
 
+def test_a_singular_sigma_zz_reports_no_squared_bias():
+    # the squared bias solves against sigma_zz; a future day with no
+    # variance leaves it singular, so the cell reports nan bias and
+    # variance and keeps every other score
+    series = to_series(gbm_prices(300, 3))
+    train, test = centered_windows(series, 12, 5, 40)
+    cov = np.array(empirical_covariance(train).sigma_xx)
+    cov[-1, :] = cov[:, -1] = 0.0
+    model = CovarianceModel.from_matrix(cov, train.split_m)
+    gb = fit_gauss_bayes(model)
+    with pytest.raises(IllConditionedError, match="sigma_zz"):
+        squared_bias(model, gb)
+    result = _evaluate_method(model, gb, test)
+    assert np.isnan(result.bias_sq) and np.isnan(result.variance)
+    assert np.isfinite(result.theoretical_mse) and np.isfinite(result.empirical_mse)
+
+
 def test_sizes_past_the_training_rows_are_unusable(tmp_path):
     # 3 training windows of 25 dimensions: the centered rows span 2
     # dimensions, so size 2 fits them exactly and sizes from 2 on are
@@ -360,7 +382,7 @@ def test_emit_report_files_and_consistency(tmp_path):
     assert len(best) == n_cells == 4
 
     header, cond = rows("condition.csv")
-    assert header == ["M", "cond_yy", "cond_ww"]
+    assert header == ["M", "cap", "cond_yy", "cond_ww"]
     assert len(cond) == n_cells
 
     header, curve = rows("mse_vs_L.csv")

@@ -12,22 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subspace_forecast import centered_windows, cli, load_csv
+from subspace_forecast import (
+    CovarianceModel,
+    centered_windows,
+    cli,
+    dump_covariance_csv,
+    geometric_spectrum,
+    load_csv,
+    random_covariance,
+)
 
-from conftest import gbm_prices, smooth_prices, write_price_csv
+from conftest import gbm_prices, run_cli, smooth_prices, write_price_csv
 
-CLI = [sys.executable, "-m", "subspace_forecast"]
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
-
-
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.setdefault("SUBSPACE_FORECAST_LOG", "quiet")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
-    )
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +281,18 @@ def test_sweep_line_reports_the_day_one_hit_rate(price_csv, tmp_path):
         assert printed[f"M={c['M']} cap={c['cap']:g}"] == round(day_one, 4)
 
 
+def test_sweep_prints_a_skipped_cell(tmp_path):
+    # 100 days hold no window of 105 days, so M = 95 is skipped at every cap
+    csv = write_price_csv(tmp_path / "short.csv", gbm_prices(100, 1))
+    code, out, _ = run_in_process(("sweep", "--csv", csv, "--m-list", "20", "95",
+                                   "--n-test", "5", "--caps", "1e4"))
+    assert code == 0
+    assert out.splitlines()[0].startswith("M=20 cap=10000: L=")
+    assert out.splitlines()[1] == (
+        "M=95 cap=10000: skipped (needs at least 7 windows of 105 days, got 0)"
+    )
+
+
 def test_sweep_is_deterministic(price_csv, tmp_path):
     args = ("sweep", "--csv", price_csv, "--m-list", "20", "--n-test", "100")
     run_cli(*args, "--out", str(tmp_path / "a"))
@@ -293,11 +302,19 @@ def test_sweep_is_deterministic(price_csv, tmp_path):
     assert a == b
 
 
+def covariance_csv(tmp_path):
+    """A 12x12 covariance matrix written as ``verify --cov-csv`` input."""
+    cov = random_covariance(geometric_spectrum(12, 50.0), seed=4)
+    path = tmp_path / "cov.csv"
+    dump_covariance_csv(CovarianceModel.from_matrix(cov, m=8), str(path))
+    return str(path)
+
+
 def test_verify_passes_on_default_fixture():
     proc = run_cli("verify", "--seed", "13", "--n", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[FAIL]" not in proc.stdout
-    assert proc.stdout.count("[PASS]") == 20
+    assert proc.stdout.count("[PASS]") == 18
 
 
 def test_verify_seed_reproduces_output_exactly():
@@ -318,13 +335,57 @@ def test_verify_bias_tolerance_absorbs_sampling_noise():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "bias/unc" in proc.stdout
     assert "5% rel + 3 se" in proc.stdout
-    assert proc.stdout.count("[PASS]") == 20
+    assert proc.stdout.count("[PASS]") == 18
 
 
 def test_verify_corrupt_coeff_control_fails():
     proc = run_cli("verify", "--seed", "13", "--n", "20000", "--corrupt-coeff")
     assert proc.returncode == 3
     assert "[FAIL]" in proc.stdout
+
+
+@pytest.mark.parametrize("split", [None, 1])
+def test_verify_corrupt_coeff_fails_the_collapse_row_at_every_split(split, tmp_path):
+    # the collapse row compares rd at L = m with the gb under test; at split
+    # 1 no smaller size is left to catch the corruption in an order row
+    argv = ["verify", "--seed", "3", "--n", "20000", "--corrupt-coeff"]
+    if split is not None:
+        argv += ["--cov-csv", covariance_csv(tmp_path), "--split", str(split)]
+    code, out, _ = run_in_process(argv)
+    assert code == 3
+    assert "[FAIL] collapse/rd[L=m]==gb:" in out
+
+
+@pytest.mark.parametrize("split, names", [
+    (None, [
+        "mse/unc", "mse/gb", "mse/rd[L=1]", "mse/rd[L=5]", "mse/rd[L=10]",
+        "bias/unc", "bias/gb", "bias/rd[L=1]", "bias/rd[L=5]", "bias/rd[L=10]",
+        "order/gb<=rd[L=1]", "order/rd[L=1]<=unc", "order/gb<=rd[L=5]",
+        "order/rd[L=5]<=unc", "order/gb<=rd[L=10]", "order/rd[L=10]<=unc",
+        "order/gb<=unc", "collapse/rd[L=m]==gb",
+    ]),
+    (1, ["mse/unc", "mse/gb", "bias/unc", "bias/gb", "order/gb<=unc", "collapse/rd[L=m]==gb"]),
+])
+def test_verify_rows_use_rd_at_full_size_only_in_the_collapse_row(split, names, tmp_path,
+                                                                   monkeypatch):
+    # m = 20 on the built-in fixture, m = 1 on a --cov-csv matrix.  rd at
+    # L = m equals gb up to rounding, so no Monte-Carlo row scores it
+    scored = []
+
+    def recording(oracle):
+        def run(spec, ests, n):
+            scored.extend(ests)
+            return oracle(spec, ests, n)
+        return run
+
+    monkeypatch.setattr(cli, "mc_squared_errors", recording(cli.mc_squared_errors))
+    monkeypatch.setattr(cli, "mc_bias", recording(cli.mc_bias))
+    cov_csv = None if split is None else covariance_csv(tmp_path)
+    rows = cli._verify_checks(1, 2000, False, cov_csv, split)
+    assert [row[0] for row in rows] == names
+    m = 20 if split is None else split
+    assert len(scored) == 2 * sum(name.startswith("mse/") for name in names)
+    assert all(est.m == m and est.subspace_dim != m for est in scored)
 
 
 def test_verify_small_n_is_advisory():
@@ -334,15 +395,19 @@ def test_verify_small_n_is_advisory():
 
 
 def test_verify_with_explicit_covariance(tmp_path):
-    import subspace_forecast as sf
-
-    cov = sf.random_covariance(sf.geometric_spectrum(12, 50.0), seed=4)
-    model = sf.CovarianceModel.from_matrix(cov, m=8)
-    path = tmp_path / "cov.csv"
-    sf.dump_covariance_csv(model, str(path))
-    proc = run_cli("verify", "--cov-csv", str(path), "--split", "8",
+    proc = run_cli("verify", "--cov-csv", covariance_csv(tmp_path), "--split", "8",
                    "--seed", "3", "--n", "20000")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_verify_covariance_csv_errors(tmp_path):
+    code, out, err = run_in_process(("verify", "--cov-csv", str(tmp_path / "nope.csv")))
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"error: {tmp_path / 'nope.csv'} not found."
+    code, out, err = run_in_process(("verify", "--cov-csv", covariance_csv(tmp_path),
+                                     "--split", "12"))
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == "error: --split must be in [1, 11], got 12"
 
 
 def test_verify_with_a_non_square_covariance_is_a_data_error(tmp_path):

@@ -495,7 +495,7 @@ def test_block_views_split_observation_and_future():
 
 # --------------------------------------------------------- train/test split
 
-def test_split_recenters_on_train_only():
+def test_centered_windows_center_on_train_rows_only():
     prices = gbm_prices(120, 9)
     train, test = centered_windows(to_series(prices), M=8, H=2, n_test=30, n_windows=100)
     assert train.n_samples == 70 and test.n_samples == 30
@@ -509,7 +509,7 @@ def test_split_recenters_on_train_only():
     assert_allclose(test.X[-1] + test.mean, np.delete(last / last[7], 7), rtol=1e-12)
 
 
-def test_split_rejects_degenerate_sizes():
+def test_centered_windows_rejects_degenerate_test_sizes():
     series = to_series(gbm_prices(30, 1))  # 25 windows of 6 days
     with pytest.raises(ValueError):
         centered_windows(series, M=4, H=2, n_test=-1)
@@ -523,7 +523,7 @@ def test_split_rejects_degenerate_sizes():
 # and deleted the day-M column; split_train_test added the mean back and
 # centered again on the training rows.
 
-def reference_normalize_and_center(prices, m_days, n):
+def reference_centered_block(prices, m_days, n):
     raw = windows_of(prices, n, len(prices) - n + 1)
     q = m_days - 1
     scales = raw[:, q].copy()
@@ -533,7 +533,7 @@ def reference_normalize_and_center(prices, m_days, n):
     return np.delete(centered, q, axis=1), np.delete(mean_full, q), scales
 
 
-def reference_split_train_test(block, n_test):
+def reference_train_test_blocks(block, n_test):
     X, mean, scales = block
     normalized = X + mean
     n_train = X.shape[0] - n_test
@@ -569,13 +569,13 @@ def test_direct_centering_matches_the_round_trip(kind, seed, n_prices, volatilit
     n_test = data.draw(st.integers(min_value=1, max_value=k - 3))
     series = to_series(prices)
 
-    full = reference_normalize_and_center(prices, m_days, n)
+    full = reference_centered_block(prices, m_days, n)
     forecast, _ = centered_windows(series, m_days, horizon)
     for got, want in zip((forecast.X, forecast.mean, forecast.scales), full):
         assert_array_equal(got, want)
 
-    ref_train, ref_test = reference_split_train_test(full, n_test)
-    ref_sub, ref_val = reference_split_train_test(ref_train, max(1, ref_train[0].shape[0] // 5))
+    ref_train, ref_test = reference_train_test_blocks(full, n_test)
+    ref_sub, ref_val = reference_train_test_blocks(ref_train, max(1, ref_train[0].shape[0] // 5))
     train, test = centered_windows(series, m_days, horizon, n_test)
     sub, val = centered_windows(series, m_days, horizon, max(1, train.n_samples // 5), k - n_test)
 

@@ -97,7 +97,7 @@ def test_independent_blocks_make_conditioning_a_no_op():
     assert_allclose(predict(gb, np.array([3.0, -1.0, 2.0])), [0.0, 0.0], atol=0)
 
 
-def test_projection_rank_deficient_basis_raises():
+def test_ladder_fit_past_a_rank_deficient_basis_raises():
     # The second eigenvector (eigenvalue 3) lies wholly in the future block,
     # so V_ML has rank one: size 1 fits, size 2 must fail loudly rather than
     # return garbage coordinates, and its L-curve point is unusable.
