@@ -60,6 +60,7 @@ from .synthetic_oracle import (
     mc_bias,
     mc_mse,
     mc_squared_errors,
+    mc_squared_errors_and_bias,
     random_covariance,
     sample,
     smooth_prices,

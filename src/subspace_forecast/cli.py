@@ -48,8 +48,7 @@ from .synthetic_oracle import (
     McEstimate,
     geometric_spectrum,
     load_gaussian_spec,
-    mc_bias,
-    mc_squared_errors,
+    mc_squared_errors_and_bias,
     random_covariance,
 )
 
@@ -259,15 +258,18 @@ def _verify_checks(seed: int, n: int, corrupt: bool, cov_csv: str | None, split:
     def check(name, value, target, tol_desc, limit):
         rows.append((name, value, target, tol_desc, abs(value - target), limit))
 
-    # closed-form MSE against fresh-draw Monte-Carlo, common draws per seed
-    sq_errors = dict(zip(estimators, mc_squared_errors(spec, ests, n)))
+    # one pass over the seed's normals scores every estimator's per-draw
+    # error and its stratified bias (common random numbers)
+    errors, biases = mc_squared_errors_and_bias(spec, ests, n)
+    sq_errors = dict(zip(estimators, errors))
+
+    # closed-form MSE against fresh-draw Monte-Carlo
     for name, est in estimators.items():
         closed = theoretical_mse(model, est)
         check(f"mse/{name}", float(sq_errors[name].mean()), closed, "5% rel", 0.05 * closed)
 
-    # squared-bias closed forms against the stratified conditional oracle,
-    # every estimator scored on one set of strata
-    for (name, est), b in zip(estimators.items(), mc_bias(spec, ests, n)):
+    # squared-bias closed forms against the stratified conditional oracle
+    for (name, est), b in zip(estimators.items(), biases):
         target = squared_bias(model, est)  # unc: trace(sigma_zz)
         check(f"bias/{name}", b.value, target, "5% rel + 3 se", 0.05 * target + 3 * b.se)
 

@@ -198,28 +198,37 @@ class SubspaceLadder:
         for every ``L`` and an upper triangular solve keeps the zeros.
         ``s_min`` is raised by ``4 L eps s_max``, the rounding of both the
         products and the SVD, so the bound stays at or below ``cond_ww(L)``.
+        Where every size's exact ``cond_ww`` is already stored, as after
+        ``build_l_curve``, those values are the bounds and none of this runs.
         Non-finite bounds are 0.  Computed once and stored on the ladder,
         read-only.
         """
         if self._bounds is None:
-            y, r, k = self._y, self._r, self._k
-            start = np.triu(np.ones_like(y))
-            x = start
-            for _ in range(_BOUND_STEPS):
-                v = np.triu(y @ x)
-                x = np.triu(y.T @ v)
-            u = start
-            for _ in range(_BOUND_STEPS):
-                w = k.T @ np.triu(solve_triangular(r, u, trans=1, check_finite=False))
-                u = solve_triangular(r, np.triu(k @ w), check_finite=False)
-            with np.errstate(all="ignore"):
-                s_max = np.linalg.norm(x, axis=0) / np.linalg.norm(v, axis=0)
-                s_min = np.linalg.norm(np.triu(y @ u), axis=0) / np.linalg.norm(u, axis=0)
-                slack = 4 * np.finfo(float).eps * np.arange(1, self.rank + 1) * s_max
-                bounds = (s_max / (s_min + slack)) ** 2
+            if len(self._cond_ww) == self.rank:
+                bounds = np.array([self._cond_ww[L] for L in range(1, self.rank + 1)])
+            else:
+                bounds = self._estimate_bounds()
             self._bounds = np.where(np.isfinite(bounds), bounds, 0.0)
             self._bounds.flags.writeable = False
         return self._bounds
+
+    def _estimate_bounds(self) -> np.ndarray:
+        """The power and inverse steps of :meth:`cond_ww_bounds`, every size at once."""
+        y, r, k = self._y, self._r, self._k
+        start = np.triu(np.ones_like(y))
+        x = start
+        for _ in range(_BOUND_STEPS):
+            v = np.triu(y @ x)
+            x = np.triu(y.T @ v)
+        u = start
+        for _ in range(_BOUND_STEPS):
+            w = k.T @ np.triu(solve_triangular(r, u, trans=1, check_finite=False))
+            u = solve_triangular(r, np.triu(k @ w), check_finite=False)
+        with np.errstate(all="ignore"):
+            s_max = np.linalg.norm(x, axis=0) / np.linalg.norm(v, axis=0)
+            s_min = np.linalg.norm(np.triu(y @ u), axis=0) / np.linalg.norm(u, axis=0)
+            slack = 4 * np.finfo(float).eps * np.arange(1, self.rank + 1) * s_max
+            return (s_max / (s_min + slack)) ** 2
 
     def fit(self, L: int) -> Estimator:
         """The reduced-dimension estimator of size ``L``."""

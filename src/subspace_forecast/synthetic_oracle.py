@@ -4,14 +4,21 @@ Estimators fitted from a known covariance can be scored against brute-force
 sampling: :func:`mc_mse` replays the forecast on fresh draws
 (:func:`mc_squared_errors` keeps the error of every draw), and
 :func:`mc_bias` estimates the conditional bias by stratifying on the future
-block and replicating observations from the reverse conditional law.  Both
-take a sequence of estimators, draw once and score every estimator on the
-same draws, and return one estimate with its sampling standard error per
-estimator, in order.  Both draw and score a block of about ``SAMPLE_BLOCK``
-rows at a time (whole strata for :func:`mc_bias`, which keeps each stratum
-only as its observation mean and replicate scatter), from the random stream
-one draw of every row would use, so neither holds every draw at once and
-the results are those of the unblocked forms up to rounding.
+block and replicating observations from the reverse conditional law.  Each
+takes a sequence of estimators, scores every estimator on the same draws,
+and returns one result per estimator, in order.
+
+Every draw comes from one stream of standard normals per seed, and every
+oracle reads it from its start: :func:`sample` and :func:`mc_squared_errors`
+as ``n`` rows ``g`` of the spec's dimension, :func:`mc_bias` as the future
+blocks and then the replicates of every stratum.  A draw is ``x = g @ F``
+with ``F`` the covariance's square root, so a forecast error
+``z - C y`` is ``g @ (F[:, m:] - F[:, :m] C')``, scored in the normal
+coordinates without forming ``x``.  One pass draws the stream a block of
+``SAMPLE_BLOCK`` rows at a time into one reused buffer and hands each block
+to every scorer that reads it, so :func:`mc_squared_errors_and_bias` draws
+each normal once for both scorers, no call holds every draw at once, and
+the results are those of one unblocked draw up to rounding.
 
 Fixture covariances come from :func:`random_covariance`, which pins an exact
 eigenvalue spectrum on a random orthogonal basis so conditioning is
@@ -23,7 +30,7 @@ the benchmark and ``scripts/make_synthetic_prices.py`` all draw from them.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +46,7 @@ __all__ = [
     "mc_squared_errors",
     "mc_mse",
     "mc_bias",
+    "mc_squared_errors_and_bias",
     "random_covariance",
     "geometric_spectrum",
     "load_gaussian_spec",
@@ -105,21 +113,75 @@ def _check_count(n: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
 
 
-def _sample_blocks(spec: GaussianSpec, n: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(rows, block)``: ``n`` draws in order, at most ``SAMPLE_BLOCK``
-    rows at a time.  The blocks continue one random stream, so together they
-    are the rows one draw of all ``n`` gives, up to rounding."""
+def _one_pass(spec: GaussianSpec, scorers: list[Generator]) -> list:
+    """Run ``scorers`` on one draw of the seed's standard normal stream and
+    return their results, in order.
+
+    A scorer is a generator that yields the length of the next piece of the
+    stream it reads, is sent that piece, and returns its result; every
+    scorer reads the stream from its start.  The stream is drawn
+    ``SAMPLE_BLOCK`` rows of the spec at a time into one reused buffer, up to
+    the longest scorer's need, and each block is handed to every scorer, so
+    each normal is drawn once however many scorers read it.  Every scorer's
+    set-up runs, and may raise, before the first draw.
+    """
+    readers = [_pieces(scorer) for scorer in scorers]
+    active = {i: next(reader) for i, reader in enumerate(readers)}
+    results = [None] * len(readers)
     rng = np.random.default_rng(spec.seed)
+    buf = np.empty(SAMPLE_BLOCK * spec.dim)
+    drawn = 0
+    while active:
+        block = rng.standard_normal(out=buf[: min(buf.size, max(active.values()) - drawn)])
+        drawn += block.size
+        for i in list(active):
+            try:
+                active[i] = readers[i].send(block)
+            except StopIteration as done:
+                del active[i]
+                results[i] = done.value
+    return results
+
+
+def _pieces(scorer: Generator) -> Generator:
+    """Cut the stream, sent in consecutive blocks, into the pieces ``scorer``
+    asks for; yield the stream position where its current piece ends and
+    return its result.  A piece inside one block is a view of it; only the
+    part of a piece that has arrived before its last block is copied."""
+    size = next(scorer)
+    end, parts, have = size, [], 0
+    while True:
+        block = yield end
+        while block.size:
+            if have + block.size < size:
+                parts.append(block.copy())
+                have += block.size
+                break
+            take = size - have
+            piece = np.concatenate(parts + [block[:take]]) if parts else block[:take]
+            block, parts, have = block[take:], [], 0
+            try:
+                size = scorer.send(piece)
+            except StopIteration as done:
+                return done.value
+            end += size
+
+
+def _rows(spec: GaussianSpec, n: int) -> Generator:
+    """Scorer: the ``n`` draws ``g @ F`` of the spec, ``F`` its square root."""
     factor = _sqrt_factor(spec.true_cov)
+    out = np.empty((n, spec.dim))
     for start in range(0, n, SAMPLE_BLOCK):
         stop = min(start + SAMPLE_BLOCK, n)
-        yield slice(start, stop), rng.standard_normal((stop - start, spec.dim)) @ factor
+        g = yield (stop - start) * spec.dim
+        out[start:stop] = g.reshape(stop - start, spec.dim) @ factor
+    return out
 
 
 def sample(spec: GaussianSpec, n: int) -> np.ndarray:
     """Draw ``n`` vectors; deterministic per seed (same seed, same matrix)."""
     _check_count(n)
-    return np.concatenate([block for _, block in _sample_blocks(spec, n)])
+    return _one_pass(spec, [_rows(spec, n)])[0]
 
 
 def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> int:
@@ -138,24 +200,75 @@ def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> int:
     return split
 
 
+def _squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> Generator:
+    """Scorer: ``||z - C y||^2`` of each estimator on each of ``n`` draws.
+
+    A draw is ``x = g @ F`` with ``y, z = x[:m], x[m:]``, so its error is
+    ``g @ (F[:, m:] - F[:, :m] C')`` in the normal coordinates ``g``: one
+    product per estimator and block, and ``x`` is never formed.
+    """
+    factor = _sqrt_factor(spec.true_cov)
+    gaps = [factor[:, split:] - factor[:, :split] @ est.coeff.T for est in ests]
+    out = [np.empty(n) for _ in ests]
+    for start in range(0, n, SAMPLE_BLOCK):
+        stop = min(start + SAMPLE_BLOCK, n)
+        g = (yield (stop - start) * spec.dim).reshape(stop - start, spec.dim)
+        for gap, sq in zip(gaps, out):
+            err = g @ gap
+            sq[start:stop] = np.einsum("ij,ij->i", err, err)
+    return out
+
+
+def _stratified_bias(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> Generator:
+    """Scorer: the stratified squared conditional bias of :func:`mc_bias`,
+    from the future blocks ``z`` and then the replicates of every stratum,
+    a block of whole strata at a time."""
+    cov = spec.true_cov
+    syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
+    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
+    n_z = max(1, n // n_rep)
+    # reverse conditional: y | z is Gaussian with mean R z
+    r = solve_sym(szz, szy, "sigma_zz").T
+    cond_cov = symmetrize(syy - r @ szy)
+    y_factor = _sqrt_factor(cond_cov)
+    z_factor = _sqrt_factor(szz)
+    h = spec.dim - split
+    z = (yield n_z * h).reshape(n_z, h) @ z_factor
+    y_mean = z @ r.T
+    grams = [(est.coeff.T @ est.coeff).ravel() for est in ests]
+    bias = [np.empty(n_z) for _ in ests]
+    step = max(1, SAMPLE_BLOCK // n_rep)
+    for lo in range(0, n_z, step):
+        hi = min(lo + step, n_z)
+        k = slice(lo, hi)
+        eps = (yield (hi - lo) * n_rep * split).reshape(hi - lo, n_rep, split) @ y_factor
+        eps_mean = eps.mean(axis=1)
+        resid = eps - eps_mean[:, None, :]
+        scatter = (resid.transpose(0, 2, 1) @ resid).reshape(hi - lo, -1)
+        y_mean[k] += eps_mean
+        for est, gram, b_k in zip(ests, grams, bias):
+            dev = y_mean[k] @ est.coeff.T - z[k]
+            noise = scatter @ gram / (n_rep - 1)
+            b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
+    return [McEstimate.of(b_k, n_z * n_rep) for b_k in bias]
+
+
+def _oracle(spec: GaussianSpec, ests: Sequence[Estimator], n: int, *scorers) -> list:
+    split = _check_inputs(spec, ests, n)
+    return _one_pass(spec, [scorer(spec, ests, split, n) for scorer in scorers])
+
+
 def mc_squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[np.ndarray]:
     """Squared forecast error ``||z - C y||^2`` of each estimator on each of
     ``n`` fresh draws, the draws of :func:`sample` ``(spec, n)``, split after
     the estimators' ``m`` observed coordinates.
 
-    The draws are made and scored one block of rows at a time, and each
-    block serves every estimator (common random numbers), so the errors of a
-    list equal those of one-element calls bit for bit, and differences
-    between estimators carry no independent sampling noise.
+    The draws are scored one block of rows at a time, and each block serves
+    every estimator (common random numbers), so the errors of a list equal
+    those of one-element calls bit for bit, and differences between
+    estimators carry no independent sampling noise.
     """
-    split = _check_inputs(spec, ests, n)
-    out = [np.empty(n) for _ in ests]
-    for rows, x in _sample_blocks(spec, n):
-        y, z = x[:, :split], x[:, split:]
-        for est, sq in zip(ests, out):
-            err = z - y @ est.coeff.T
-            sq[rows] = np.einsum("ij,ij->i", err, err)
-    return out
+    return _oracle(spec, ests, n, _squared_errors)[0]
 
 
 def mc_mse(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEstimate]:
@@ -179,43 +292,24 @@ def mc_bias(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEst
     A forecast is linear in ``y``, so each stratum is kept only as its
     observation mean ``ybar = R z + mean_i eps_i`` and its replicate scatter
     ``S = sum_i (eps_i - epsbar)(eps_i - epsbar)^T``: an estimator ``C`` has
-    forecast mean ``C ybar`` and forecast scatter ``<S, C^T C>``.  The
-    replicates are drawn after every z, a block of whole strata at a time,
-    so the random stream is that of one draw of all of them.
+    forecast mean ``C ybar`` and forecast scatter ``<S, C^T C>``.  Every z is
+    read from the normal stream first and the replicates after them, the
+    normals :func:`mc_squared_errors` reads from the same seed.
 
     The strata and their replicates are drawn once and scored for every
     estimator (common random numbers): the estimates of a list equal those of
     one-element calls bit for bit.
     """
-    split = _check_inputs(spec, ests, n)
-    cov = spec.true_cov
-    syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
-    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
-    n_z = max(1, n // n_rep)
-    # reverse conditional: y | z is Gaussian with mean R z
-    r = solve_sym(szz, szy, "sigma_zz").T
-    cond_cov = symmetrize(syy - r @ szy)
-    y_factor = _sqrt_factor(cond_cov)
-    z_factor = _sqrt_factor(szz)
-    rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal((n_z, spec.dim - split)) @ z_factor
-    y_mean = z @ r.T
-    grams = [(est.coeff.T @ est.coeff).ravel() for est in ests]
-    bias = [np.empty(n_z) for _ in ests]
-    step = max(1, SAMPLE_BLOCK // n_rep)
-    for lo in range(0, n_z, step):
-        hi = min(lo + step, n_z)
-        k = slice(lo, hi)
-        eps = rng.standard_normal((hi - lo, n_rep, split)) @ y_factor
-        eps_mean = eps.mean(axis=1)
-        resid = eps - eps_mean[:, None, :]
-        scatter = (resid.transpose(0, 2, 1) @ resid).reshape(hi - lo, -1)
-        y_mean[k] += eps_mean
-        for est, gram, b_k in zip(ests, grams, bias):
-            dev = y_mean[k] @ est.coeff.T - z[k]
-            noise = scatter @ gram / (n_rep - 1)
-            b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
-    return [McEstimate.of(b_k, n_z * n_rep) for b_k in bias]
+    return _oracle(spec, ests, n, _stratified_bias)[0]
+
+
+def mc_squared_errors_and_bias(
+    spec: GaussianSpec, ests: Sequence[Estimator], n: int
+) -> tuple[list[np.ndarray], list[McEstimate]]:
+    """:func:`mc_squared_errors` and :func:`mc_bias` of the same call, equal
+    to theirs, from one pass over the normal stream both read."""
+    errors, bias = _oracle(spec, ests, n, _squared_errors, _stratified_bias)
+    return errors, bias
 
 
 def random_covariance(spectrum: np.ndarray, seed: int = 0) -> np.ndarray:

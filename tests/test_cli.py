@@ -378,13 +378,13 @@ def test_verify_rows_use_rd_at_full_size_only_in_the_collapse_row(split, names, 
             return oracle(spec, ests, n)
         return run
 
-    monkeypatch.setattr(cli, "mc_squared_errors", recording(cli.mc_squared_errors))
-    monkeypatch.setattr(cli, "mc_bias", recording(cli.mc_bias))
+    monkeypatch.setattr(cli, "mc_squared_errors_and_bias",
+                        recording(cli.mc_squared_errors_and_bias))
     cov_csv = None if split is None else covariance_csv(tmp_path)
     rows = cli._verify_checks(1, 2000, False, cov_csv, split)
     assert [row[0] for row in rows] == names
     m = 20 if split is None else split
-    assert len(scored) == 2 * sum(name.startswith("mse/") for name in names)
+    assert len(scored) == sum(name.startswith("mse/") for name in names)
     assert all(est.m == m and est.subspace_dim != m for est in scored)
 
 

@@ -1,5 +1,7 @@
 """Monte-Carlo cross-checks of the closed forms on exactly known Gaussians."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -21,12 +23,14 @@ from subspace_forecast import (
     mc_bias,
     mc_mse,
     mc_squared_errors,
+    mc_squared_errors_and_bias,
     random_covariance,
     sample,
     smooth_prices,
     squared_bias,
     theoretical_mse,
 )
+from subspace_forecast import cli
 from subspace_forecast._linalg import solve_sym, symmetrize
 from subspace_forecast.synthetic_oracle import MC_BIAS_REPLICATES, SAMPLE_BLOCK, _sqrt_factor
 
@@ -239,6 +243,74 @@ def test_one_draw_serves_every_estimator(oracle, pinned_spec, pinned_model):
     for got in (together, reordered):
         assert [(e.value, e.se, e.n) for e in got] == [(e.value, e.se, e.n) for e in singles]
     assert len({e.value for e in singles}) == len(ests)
+
+
+@pytest.mark.parametrize("n", [1, 12_345, 100_000])
+def test_one_pass_gives_the_errors_and_bias_of_the_standalone_oracles(
+    n, pinned_spec, pinned_model
+):
+    """The joint pass reads each normal once for both scorers and gives what
+    the two standalone calls give: at n = 1 the bias reads past the one
+    draw's ``m + h`` normals (``h + 2m``), at 12,345 the last block is
+    partial, and at 100,000 the errors read past the bias's normals."""
+    ladder = SubspaceLadder(pinned_model)
+    ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model), ladder.fit(5)]
+    errors, bias = mc_squared_errors_and_bias(pinned_spec, ests, n)
+    alone = mc_squared_errors(pinned_spec, ests, n)
+    assert all(np.array_equal(got, want) for got, want in zip(errors, alone, strict=True))
+    assert bias == mc_bias(pinned_spec, ests, n)
+
+
+def counting_generators(monkeypatch):
+    """Wrap ``np.random.default_rng``; the returned list gets the count of
+    standard normals each generator draws, one entry per generator made."""
+    drawn = []
+    make = np.random.default_rng
+
+    class Counting:
+        def __init__(self, seed):
+            self._rng, self._i = make(seed), len(drawn)
+            drawn.append(0)
+
+        def standard_normal(self, *args, **kwargs):
+            out = self._rng.standard_normal(*args, **kwargs)
+            drawn[self._i] += out.size
+            return out
+
+    monkeypatch.setattr(np.random, "default_rng", Counting)
+    return drawn
+
+
+@pytest.mark.parametrize("n, normals", [(100_000, 3_000_000), (1, 50)])
+def test_verify_draws_every_normal_once(n, normals, monkeypatch):
+    """One ``verify`` draws ``max(n dim, n_z h + n_z n_rep m)`` normals from
+    one generator: the errors' ``n`` rows of 30 and the bias's future
+    blocks and replicates read one stream.  At n = 100,000 that is 3,000,000
+    (the bias reads the first 10,000 + 2,000,000); at n = 1, 10 + 2 * 20 = 50
+    for the bias.  The fixture's random basis draws 30 * 30 first, and a
+    second call draws everything again: nothing is kept between calls."""
+    m, h = 20, 10
+    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
+    n_z = max(1, n // n_rep)
+    assert max(n * (m + h), n_z * h + n_z * n_rep * m) == normals
+    drawn = counting_generators(monkeypatch)
+    cli._verify_checks(1, n, False, None, None)
+    assert drawn == [900, normals]
+    cli._verify_checks(1, n, False, None, None)
+    assert drawn == [900, normals] * 2
+
+
+def test_verify_holds_a_block_of_draws_not_the_whole_draw():
+    """The normals are drawn and scored a block at a time: a default
+    ``verify`` (3,000,000 normals, 23 MiB in one array) peaks well under
+    that, with its 6 x 100,000 squared errors the largest part."""
+    tracemalloc.start()
+    try:
+        cli._verify_checks(1, 100_000, False, None, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("oracle", [mc_mse, mc_bias])
