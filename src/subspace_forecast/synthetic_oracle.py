@@ -8,17 +8,19 @@ block and replicating observations from the reverse conditional law.  Each
 takes a sequence of estimators, scores every estimator on the same draws,
 and returns one result per estimator, in order.
 
-Every draw comes from one stream of standard normals per seed, and every
-oracle reads it from its start: :func:`sample` and :func:`mc_squared_errors`
-as ``n`` rows ``g`` of the spec's dimension, :func:`mc_bias` as the future
-blocks and then the replicates of every stratum.  A draw is ``x = g @ F``
-with ``F`` the covariance's square root, so a forecast error
-``z - C y`` is ``g @ (F[:, m:] - F[:, :m] C')``, scored in the normal
-coordinates without forming ``x``.  One pass draws the stream a block of
-``SAMPLE_BLOCK`` rows at a time into one reused buffer and hands each block
-to every scorer that reads it, so :func:`mc_squared_errors_and_bias` draws
-each normal once for both scorers, no call holds every draw at once, and
-the results are those of one unblocked draw up to rounding.
+Both oracles read rows ``g`` of standard normals of the spec's dimension,
+one matrix per seed.  The errors read its first ``n`` rows: a draw is
+``x = g @ F`` with ``F`` the covariance's square root, so a forecast error
+``z - C y`` is ``g @ (F[:, m:] - F[:, :m] C')``, scored without forming
+``x``.  The bias reads stratum ``k`` from rows ``k n_rep .. (k + 1) n_rep - 1``:
+its future block from the last ``h`` normals of its first row,
+``g[k n_rep, m:] @ F_zz^(1/2)``, and its replicates from the first ``m``
+normals of every row, ``g[rows, :m] @ F_(y|z)^(1/2)``.  Those are disjoint
+normals, so the future block and the replicates are independent.  The rows
+are drawn a block of whole strata at a time into one reused buffer, and
+each block serves both oracles, so :func:`mc_squared_errors_and_bias`
+draws each normal once, no call holds every draw at once, and the normals
+are those of one unblocked draw.
 
 Fixture covariances come from :func:`random_covariance`, which pins an exact
 eigenvalue spectrum on a random orthogonal basis so conditioning is
@@ -30,7 +32,7 @@ the benchmark and ``scripts/make_synthetic_prices.py`` all draw from them.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +58,10 @@ __all__ = [
 
 # Observations replicated per future-block stratum in :func:`mc_bias`.
 MC_BIAS_REPLICATES = 100
-# Rows drawn and scored at a time by the Monte-Carlo oracles: a block of the
-# 30-dimensional verify law is 0.5 MB, so it and its forecast errors stay in
-# a core's cache between the draw and the scoring.
+# Rows drawn and scored at a time by the Monte-Carlo oracles, rounded down to
+# whole strata (2,000 rows of 100 replicates): a block of the 30-dimensional
+# verify law is 0.5 MB, so it and its forecast errors stay in a core's cache
+# between the draw and the scoring.
 SAMPLE_BLOCK = 2048
 # Drift of :func:`gbm_prices` and AR(1) coefficient of :func:`smooth_prices`;
 # every benchmark input and pinned benchmark result is drawn with these values.
@@ -113,75 +116,11 @@ def _check_count(n: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
 
 
-def _one_pass(spec: GaussianSpec, scorers: list[Generator]) -> list:
-    """Run ``scorers`` on one draw of the seed's standard normal stream and
-    return their results, in order.
-
-    A scorer is a generator that yields the length of the next piece of the
-    stream it reads, is sent that piece, and returns its result; every
-    scorer reads the stream from its start.  The stream is drawn
-    ``SAMPLE_BLOCK`` rows of the spec at a time into one reused buffer, up to
-    the longest scorer's need, and each block is handed to every scorer, so
-    each normal is drawn once however many scorers read it.  Every scorer's
-    set-up runs, and may raise, before the first draw.
-    """
-    readers = [_pieces(scorer) for scorer in scorers]
-    active = {i: next(reader) for i, reader in enumerate(readers)}
-    results = [None] * len(readers)
-    rng = np.random.default_rng(spec.seed)
-    buf = np.empty(SAMPLE_BLOCK * spec.dim)
-    drawn = 0
-    while active:
-        block = rng.standard_normal(out=buf[: min(buf.size, max(active.values()) - drawn)])
-        drawn += block.size
-        for i in list(active):
-            try:
-                active[i] = readers[i].send(block)
-            except StopIteration as done:
-                del active[i]
-                results[i] = done.value
-    return results
-
-
-def _pieces(scorer: Generator) -> Generator:
-    """Cut the stream, sent in consecutive blocks, into the pieces ``scorer``
-    asks for; yield the stream position where its current piece ends and
-    return its result.  A piece inside one block is a view of it; only the
-    part of a piece that has arrived before its last block is copied."""
-    size = next(scorer)
-    end, parts, have = size, [], 0
-    while True:
-        block = yield end
-        while block.size:
-            if have + block.size < size:
-                parts.append(block.copy())
-                have += block.size
-                break
-            take = size - have
-            piece = np.concatenate(parts + [block[:take]]) if parts else block[:take]
-            block, parts, have = block[take:], [], 0
-            try:
-                size = scorer.send(piece)
-            except StopIteration as done:
-                return done.value
-            end += size
-
-
-def _rows(spec: GaussianSpec, n: int) -> Generator:
-    """Scorer: the ``n`` draws ``g @ F`` of the spec, ``F`` its square root."""
-    factor = _sqrt_factor(spec.true_cov)
-    out = np.empty((n, spec.dim))
-    for start in range(0, n, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, n)
-        g = yield (stop - start) * spec.dim
-        out[start:stop] = g.reshape(stop - start, spec.dim) @ factor
-    return out
-
-
 def sample(spec: GaussianSpec, n: int) -> np.ndarray:
     """Draw ``n`` vectors; deterministic per seed (same seed, same matrix)."""
     _check_count(n)
-    return _one_pass(spec, [_rows(spec, n)])[0]
+    g = np.random.default_rng(spec.seed).standard_normal((n, spec.dim))
+    return g @ _sqrt_factor(spec.true_cov)
 
 
 def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> int:
@@ -200,62 +139,53 @@ def _check_inputs(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> int:
     return split
 
 
-def _squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> Generator:
-    """Scorer: ``||z - C y||^2`` of each estimator on each of ``n`` draws.
-
-    A draw is ``x = g @ F`` with ``y, z = x[:m], x[m:]``, so its error is
-    ``g @ (F[:, m:] - F[:, :m] C')`` in the normal coordinates ``g``: one
-    product per estimator and block, and ``x`` is never formed.
-    """
+def _monte_carlo(
+    spec: GaussianSpec, ests: Sequence[Estimator], n: int, errors: bool, bias: bool
+) -> tuple[list[np.ndarray], list[McEstimate]]:
+    """The squared errors of :func:`mc_squared_errors` if ``errors`` and the
+    estimates of :func:`mc_bias` if ``bias``, an empty list for a half not
+    asked for, from one loop over blocks of whole strata of the rows both
+    read.  Every input is checked, and the reverse conditional law (which
+    may raise) set up, before the first draw."""
+    split = _check_inputs(spec, ests, n)
     factor = _sqrt_factor(spec.true_cov)
     gaps = [factor[:, split:] - factor[:, :split] @ est.coeff.T for est in ests]
-    out = [np.empty(n) for _ in ests]
-    for start in range(0, n, SAMPLE_BLOCK):
-        stop = min(start + SAMPLE_BLOCK, n)
-        g = (yield (stop - start) * spec.dim).reshape(stop - start, spec.dim)
-        for gap, sq in zip(gaps, out):
-            err = g @ gap
-            sq[start:stop] = np.einsum("ij,ij->i", err, err)
-    return out
-
-
-def _stratified_bias(spec: GaussianSpec, ests: Sequence[Estimator], split: int, n: int) -> Generator:
-    """Scorer: the stratified squared conditional bias of :func:`mc_bias`,
-    from the future blocks ``z`` and then the replicates of every stratum,
-    a block of whole strata at a time."""
-    cov = spec.true_cov
-    syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
     n_rep = max(2, min(MC_BIAS_REPLICATES, n))
     n_z = max(1, n // n_rep)
-    # reverse conditional: y | z is Gaussian with mean R z
-    r = solve_sym(szz, szy, "sigma_zz").T
-    cond_cov = symmetrize(syy - r @ szy)
-    y_factor = _sqrt_factor(cond_cov)
-    z_factor = _sqrt_factor(szz)
-    h = spec.dim - split
-    z = (yield n_z * h).reshape(n_z, h) @ z_factor
-    y_mean = z @ r.T
-    grams = [(est.coeff.T @ est.coeff).ravel() for est in ests]
-    bias = [np.empty(n_z) for _ in ests]
-    step = max(1, SAMPLE_BLOCK // n_rep)
-    for lo in range(0, n_z, step):
-        hi = min(lo + step, n_z)
-        k = slice(lo, hi)
-        eps = (yield (hi - lo) * n_rep * split).reshape(hi - lo, n_rep, split) @ y_factor
-        eps_mean = eps.mean(axis=1)
-        resid = eps - eps_mean[:, None, :]
-        scatter = (resid.transpose(0, 2, 1) @ resid).reshape(hi - lo, -1)
-        y_mean[k] += eps_mean
-        for est, gram, b_k in zip(ests, grams, bias):
-            dev = y_mean[k] @ est.coeff.T - z[k]
-            noise = scatter @ gram / (n_rep - 1)
-            b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
-    return [McEstimate.of(b_k, n_z * n_rep) for b_k in bias]
-
-
-def _oracle(spec: GaussianSpec, ests: Sequence[Estimator], n: int, *scorers) -> list:
-    split = _check_inputs(spec, ests, n)
-    return _one_pass(spec, [scorer(spec, ests, split, n) for scorer in scorers])
+    sq = [np.empty(n) for _ in ests] if errors else []
+    strata = [np.empty(n_z) for _ in ests] if bias else []
+    if bias:
+        cov = spec.true_cov
+        syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
+        # reverse conditional: y | z is Gaussian with mean R z
+        r = solve_sym(szz, szy, "sigma_zz").T
+        y_factor = _sqrt_factor(symmetrize(syy - r @ szy))
+        z_factor = _sqrt_factor(szz)
+        grams = [(est.coeff.T @ est.coeff).ravel() for est in ests]
+    n_bias = n_z * n_rep if bias else 0
+    total = max(n if errors else 0, n_bias)
+    step = n_rep * (SAMPLE_BLOCK // n_rep)
+    rng = np.random.default_rng(spec.seed)
+    buf = np.empty((min(step, total), spec.dim))
+    for start in range(0, total, step):
+        g = rng.standard_normal(out=buf[: min(step, total - start)])
+        for gap, s in zip(gaps, sq):
+            err = g[: n - start] @ gap
+            s[start : start + len(err)] = np.einsum("ij,ij->i", err, err)
+        if start < n_bias:
+            rows = g[: n_bias - start]
+            k = slice(start // n_rep, (start + len(rows)) // n_rep)
+            z = rows[::n_rep, split:] @ z_factor
+            eps = (rows[:, :split] @ y_factor).reshape(-1, n_rep, split)
+            eps_mean = eps.mean(axis=1)
+            resid = eps - eps_mean[:, None, :]
+            scatter = (resid.transpose(0, 2, 1) @ resid).reshape(len(z), -1)
+            y_mean = z @ r.T + eps_mean
+            for est, gram, b_k in zip(ests, grams, strata):
+                dev = y_mean @ est.coeff.T - z
+                noise = scatter @ gram / (n_rep - 1)
+                b_k[k] = np.einsum("ki,ki->k", dev, dev) - noise / n_rep
+    return sq, [McEstimate.of(b_k, n_bias) for b_k in strata]
 
 
 def mc_squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[np.ndarray]:
@@ -268,7 +198,7 @@ def mc_squared_errors(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> 
     those of one-element calls bit for bit, and differences between
     estimators carry no independent sampling noise.
     """
-    return _oracle(spec, ests, n, _squared_errors)[0]
+    return _monte_carlo(spec, ests, n, errors=True, bias=False)[0]
 
 
 def mc_mse(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEstimate]:
@@ -281,35 +211,38 @@ def mc_bias(spec: GaussianSpec, ests: Sequence[Estimator], n: int) -> list[McEst
     """Empirical squared conditional bias of each estimator, stratified on the
     future block.
 
-    For each of ``n // MC_BIAS_REPLICATES`` draws of the future block z,
-    ``MC_BIAS_REPLICATES`` observation vectors ``y_i = R z + eps_i`` are
-    replicated from the reverse conditional law.  The forecasts averaged over
-    a stratum estimate the conditional mean, and its squared distance to z is
-    recorded.  The replication noise that inflates that distance is estimated
-    from the within-stratum scatter and subtracted, so the estimator is
-    unbiased for ``E || E[zhat | z] - z ||^2``.
+    Each of ``n_z = max(1, n // n_rep)`` draws of the future block z gets
+    ``n_rep = max(2, min(MC_BIAS_REPLICATES, n))`` observation vectors
+    ``y_i = R z + eps_i`` replicated from the reverse conditional law, so
+    ``McEstimate.n`` is ``n_z * n_rep``, which is not ``n`` unless ``n_rep``
+    divides it.  The forecasts averaged over a stratum estimate the
+    conditional mean, and its squared distance to z is recorded.  The
+    replication noise that inflates that distance is estimated from the
+    within-stratum scatter and subtracted, so the estimator is unbiased for
+    ``E || E[zhat | z] - z ||^2``.
 
     A forecast is linear in ``y``, so each stratum is kept only as its
     observation mean ``ybar = R z + mean_i eps_i`` and its replicate scatter
     ``S = sum_i (eps_i - epsbar)(eps_i - epsbar)^T``: an estimator ``C`` has
-    forecast mean ``C ybar`` and forecast scatter ``<S, C^T C>``.  Every z is
-    read from the normal stream first and the replicates after them, the
-    normals :func:`mc_squared_errors` reads from the same seed.
+    forecast mean ``C ybar`` and forecast scatter ``<S, C^T C>``.  Stratum
+    ``k`` reads rows ``k n_rep .. (k + 1) n_rep - 1`` of the normals
+    :func:`mc_squared_errors` reads from the same seed: z from the last
+    ``h`` normals of its first row, the replicates from the first ``m`` of
+    every row.
 
     The strata and their replicates are drawn once and scored for every
     estimator (common random numbers): the estimates of a list equal those of
     one-element calls bit for bit.
     """
-    return _oracle(spec, ests, n, _stratified_bias)[0]
+    return _monte_carlo(spec, ests, n, errors=False, bias=True)[1]
 
 
 def mc_squared_errors_and_bias(
     spec: GaussianSpec, ests: Sequence[Estimator], n: int
 ) -> tuple[list[np.ndarray], list[McEstimate]]:
     """:func:`mc_squared_errors` and :func:`mc_bias` of the same call, equal
-    to theirs, from one pass over the normal stream both read."""
-    errors, bias = _oracle(spec, ests, n, _squared_errors, _stratified_bias)
-    return errors, bias
+    to theirs, from one loop that draws each normal once for both."""
+    return _monte_carlo(spec, ests, n, errors=True, bias=True)
 
 
 def random_covariance(spectrum: np.ndarray, seed: int = 0) -> np.ndarray:

@@ -381,7 +381,7 @@ def test_window_config_rejects_bad_geometry(kwargs):
         centered_windows(to_series(gbm_prices(60, 2)), **kwargs)
 
 
-def test_hankel_shape_and_shift():
+def test_centered_windows_shape_and_one_day_shift():
     series = to_series(np.arange(1.0, 13.0))
     train, _ = centered_windows(series, M=3, H=2, n_windows=8)
     assert train.X.shape == (8, 4)
@@ -390,7 +390,7 @@ def test_hankel_shape_and_shift():
     assert_allclose(uncentered(train)[1], [2, 3, 5, 6], rtol=1e-15)
 
 
-def test_hankel_tiny_cases():
+def test_centered_windows_of_the_shortest_series():
     three, _ = centered_windows(to_series([1.0, 2.0, 3.0, 4.0, 5.0]), M=2, H=1)
     assert_array_equal(three.scales, [2.0, 3.0, 4.0])
     assert_allclose(uncentered(three), [[1, 3], [2, 4], [3, 5]], rtol=1e-15)
@@ -400,7 +400,7 @@ def test_hankel_tiny_cases():
     assert_array_equal(two.mean, [1.0, 1.0])
 
 
-def test_hankel_insufficient_data():
+def test_centered_windows_rejects_too_few_windows_and_bad_counts():
     series = to_series(np.arange(1.0, 7.0))  # two windows of 5 days
     with pytest.raises(InsufficientDataError, match="needs at least 3 windows of 5 days, got 2"):
         centered_windows(series, M=3, H=2, n_test=1)
@@ -419,7 +419,7 @@ def test_hankel_insufficient_data():
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_hankel_anti_diagonal_property(n_prices, n_cols, seed, data):
+def test_centered_windows_rows_are_consecutive_price_windows(n_prices, n_cols, seed, data):
     # row i is window i: its scale is the day-M price of the window, and
     # its ratios times that scale give back prices[i + j] (entry (i, j)
     # depends only on i + j)

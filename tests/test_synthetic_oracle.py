@@ -121,8 +121,7 @@ def test_mc_mse_is_the_mean_of_the_per_draw_squared_errors(pinned_spec, pinned_m
         x = sample(pinned_spec, n)  # the same draws, scored independently
         # ... which are those of one draw of all n rows
         one_draw = np.random.default_rng(pinned_spec.seed).standard_normal((n, pinned_spec.dim))
-        assert_allclose(x, one_draw @ _sqrt_factor(pinned_spec.true_cov), rtol=0,
-                        atol=1e-12 * np.abs(x).max())
+        assert np.array_equal(x, one_draw @ _sqrt_factor(pinned_spec.true_cov))
         y, z = x[:, :FIXTURE_SPLIT], x[:, FIXTURE_SPLIT:]
         for est, got in zip(ests, sq):
             assert_allclose(got, ((z - y @ est.coeff.T) ** 2).sum(axis=1), rtol=1e-12)
@@ -157,15 +156,17 @@ def test_mc_bias_singular_future_block_raises(monkeypatch):
 
 def replicate_level_bias(spec, ests, split, n):
     """``mc_bias`` formed replicate by replicate: every observation vector
-    and its forecast is kept, from the same draws (z, then every eps)."""
+    and its forecast is kept, from the same draws (stratum ``k`` is rows
+    ``k n_rep .. (k + 1) n_rep - 1``: z from the last normals of its first
+    row, every eps from the first ``split`` normals of each row)."""
     cov = spec.true_cov
     syy, szy, szz = cov[:split, :split], cov[split:, :split], cov[split:, split:]
-    n_rep = MC_BIAS_REPLICATES
-    n_z = n // n_rep
+    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
+    n_z = max(1, n // n_rep)
     r = solve_sym(szz, szy, "sigma_zz").T
-    rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal((n_z, spec.dim - split)) @ _sqrt_factor(szz)
-    eps = rng.standard_normal((n_z, n_rep, split)) @ _sqrt_factor(symmetrize(syy - r @ szy))
+    g = np.random.default_rng(spec.seed).standard_normal((n_z, n_rep, spec.dim))
+    z = g[:, 0, split:] @ _sqrt_factor(szz)
+    eps = g[:, :, :split] @ _sqrt_factor(symmetrize(syy - r @ szy))
     y = (z @ r.T)[:, None, :] + eps
     out = []
     for est in ests:
@@ -174,26 +175,31 @@ def replicate_level_bias(spec, ests, split, n):
         resid = zhat - m_k[:, None, :]
         noise = np.einsum("kij,kij->k", resid, resid) / (n_rep - 1)
         b_k = np.einsum("ki,ki->k", m_k - z, m_k - z) - noise / n_rep
-        out.append((b_k.mean(), b_k.std(ddof=1) / np.sqrt(n_z), n_z * n_rep))
+        se = b_k.std(ddof=1) / np.sqrt(n_z) if n_z > 1 else np.inf
+        out.append((b_k.mean(), se, n_z * n_rep))
     return out
 
 
-@pytest.mark.parametrize("n", [100_000, 12_345])
+@pytest.mark.parametrize("n", [100_000, 12_345, 250, 1])
 def test_mc_bias_matches_the_replicate_level_form(n, pinned_spec, pinned_model):
     """Per-stratum mean and scatter give the estimates that forming every
-    replicate's forecast gives, whether the strata fill whole draw blocks
-    or leave a partial last block."""
-    strata_per_block = SAMPLE_BLOCK // MC_BIAS_REPLICATES
-    assert ((n // MC_BIAS_REPLICATES) % strata_per_block == 0) == (n == 100_000)
+    replicate's forecast gives: at 100,000 the strata fill whole draw
+    blocks, at 12,345 they leave a partial last block, at 250 two strata
+    leave 50 rows that no stratum reads, and at 1 the one stratum of two
+    replicates reads a row past ``n`` and its standard error is ``inf``."""
+    n_rep = max(2, min(MC_BIAS_REPLICATES, n))
+    assert (max(1, n // n_rep) % (SAMPLE_BLOCK // n_rep) == 0) == (n == 100_000)
     ladder = SubspaceLadder(pinned_model)
     ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model)]
     ests += [ladder.fit(L) for L in (1, 5, 10)]
     got = mc_bias(pinned_spec, ests, n)
     want = replicate_level_bias(pinned_spec, ests, FIXTURE_SPLIT, n)
-    for g, (value, se, count) in zip(got, want):
+    for g, (value, se, count) in zip(got, want, strict=True):
         assert g.value == pytest.approx(value, rel=1e-12)
         assert g.se == pytest.approx(se, rel=1e-12)
         assert g.n == count
+    assert got[0].n == {100_000: 100_000, 12_345: 12_300, 250: 200, 1: 2}[n]
+    assert (got[0].se == np.inf) == (n == 1)
 
 
 def test_mc_bias_unconditional_is_total_future_variance(pinned_spec, pinned_model):
@@ -249,10 +255,11 @@ def test_one_draw_serves_every_estimator(oracle, pinned_spec, pinned_model):
 def test_one_pass_gives_the_errors_and_bias_of_the_standalone_oracles(
     n, pinned_spec, pinned_model
 ):
-    """The joint pass reads each normal once for both scorers and gives what
-    the two standalone calls give: at n = 1 the bias reads past the one
-    draw's ``m + h`` normals (``h + 2m``), at 12,345 the last block is
-    partial, and at 100,000 the errors read past the bias's normals."""
+    """The joint loop reads each normal once for both oracles and gives what
+    the two standalone calls give: at n = 1 the bias's one stratum reads a
+    row past the one draw, at 12,345 the last block is partial and the
+    errors read 45 rows past the last stratum, and at 100,000 both read
+    every row."""
     ladder = SubspaceLadder(pinned_model)
     ests = [fit_unconditional(pinned_model), fit_gauss_bayes(pinned_model), ladder.fit(5)]
     errors, bias = mc_squared_errors_and_bias(pinned_spec, ests, n)
@@ -281,18 +288,18 @@ def counting_generators(monkeypatch):
     return drawn
 
 
-@pytest.mark.parametrize("n, normals", [(100_000, 3_000_000), (1, 50)])
+@pytest.mark.parametrize("n, normals", [(100_000, 3_000_000), (1, 60)])
 def test_verify_draws_every_normal_once(n, normals, monkeypatch):
-    """One ``verify`` draws ``max(n dim, n_z h + n_z n_rep m)`` normals from
-    one generator: the errors' ``n`` rows of 30 and the bias's future
-    blocks and replicates read one stream.  At n = 100,000 that is 3,000,000
-    (the bias reads the first 10,000 + 2,000,000); at n = 1, 10 + 2 * 20 = 50
-    for the bias.  The fixture's random basis draws 30 * 30 first, and a
-    second call draws everything again: nothing is kept between calls."""
-    m, h = 20, 10
+    """One ``verify`` draws ``max(n, n_z n_rep) dim`` normals from one
+    generator: the errors' ``n`` rows of 30 and the bias's ``n_z`` strata
+    of ``n_rep`` rows are rows of one draw.  At n = 100,000 that is
+    3,000,000 (both read every row); at n = 1, the one stratum's 2 rows of
+    30.  The fixture's random basis draws 30 * 30 first, and a second call
+    draws everything again: nothing is kept between calls."""
+    dim = 30
     n_rep = max(2, min(MC_BIAS_REPLICATES, n))
     n_z = max(1, n // n_rep)
-    assert max(n * (m + h), n_z * h + n_z * n_rep * m) == normals
+    assert max(n, n_z * n_rep) * dim == normals
     drawn = counting_generators(monkeypatch)
     cli._verify_checks(1, n, False, None, None)
     assert drawn == [900, normals]
